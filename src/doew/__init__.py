@@ -9,6 +9,8 @@ brute-force linear-algebra oracle in the test suite.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .linalg import (dagger, hermitian_eigensystem, hs_norm, partial_trace,
                      partial_transpose, psd_sqrt, tensor_product, trace_norm_sym)
 from .measures import (ConcurrenceReport, EntropyReport, doew_from_edge,
@@ -20,33 +22,18 @@ from .ppt import (FeasibleRegionReport, closed_form_momentum_pt, edge_state,
                   momentum_label_pt_spectrum, ppt_spectrum)
 from .relativity import (WignerRotation, boost_matrix, boost_mixture,
                          boost_pure, effective_angles, effective_boost_mixture,
-                         effective_boost_pure, momentum_attenuation,
+                         effective_boost_pure, sector_weights,
                          single_particle_boost_unitary, wigner_half_angle,
                          wigner_matrix, wigner_rotation_oracle)
 from .states import (BELL_TYPE_ANGLE, MixtureWeights, build_mixture,
-                     one_particle_bell, phi_state, two_particle_bell,
-                     two_particle_momenta)
+                     family_matrix, mixtures, one_particle_bell, phi_state,
+                     two_particle_bell, two_particle_momenta)
 from .witness import (TieError, WitnessCoefficients, b_coefficients,
                       coefficient_table, correlation_matrix, detect,
                       kkt_witness, operator_basis, random_product_states,
-                      separability_floor_check, witness_operator)
+                      separability_floor_check, witness_min_value,
+                      witness_operator)
 
-__all__ = [
-    "BELL_TYPE_ANGLE", "ConcurrenceReport", "EntropyReport",
-    "FeasibleRegionReport", "MixtureWeights", "TieError", "WignerRotation",
-    "WitnessCoefficients", "b_coefficients", "boost_matrix", "boost_mixture",
-    "boost_pure", "build_mixture", "closed_form_momentum_pt",
-    "coefficient_table", "correlation_matrix", "dagger", "detect",
-    "doew_from_edge", "edge_state", "edge_weights", "effective_angles",
-    "effective_boost_mixture", "effective_boost_pure", "entropy_formula",
-    "entropy_pure", "feasible_region_check", "generalized_concurrence",
-    "hermitian_eigensystem", "hs_distance", "hs_norm", "kappa", "kkt_witness",
-    "momentum_attenuation", "momentum_label_pt_spectrum", "one_particle_bell",
-    "operator_basis", "partial_trace", "partial_transpose", "phi_state",
-    "ppt_spectrum", "psd_sqrt", "random_product_states",
-    "reduced_eigenvalue_pair", "relativistic_witness_value",
-    "separability_floor_check", "single_particle_boost_unitary",
-    "tensor_product", "trace_norm_sym", "two_particle_bell",
-    "two_particle_momenta", "wigner_half_angle", "wigner_matrix",
-    "wigner_rotation_oracle", "witness_operator",
-]
+#: every name imported above from the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

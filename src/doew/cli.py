@@ -2,8 +2,9 @@
 
 Subcommands: state, rho, boost, ppt, witness, measure, sweep.  All output is
 JSON on stdout except ``sweep``, which emits CSV (17 significant digits, one
-row per grid point).  Exit codes: 0 success, 1 computation-domain error,
-2 usage or parse error.
+row per grid point, evaluated in stacked blocks of SWEEP_BLOCK points with
+the same output as point by point).  Exit codes: 0 success, 1
+computation-domain error, 2 usage or parse error.
 
 Weights files are JSON of the form {"q": {"1": 0.4, "3": 0.2, ...},
 "parity": "odd"} with 1-based indices; missing indices are zero.  A --config
@@ -30,11 +31,17 @@ from .ppt import (closed_form_momentum_pt, edge_state, feasible_region_check,
 from .relativity import (effective_angles, effective_boost_mixture,
                          effective_boost_pure, wigner_half_angle,
                          wigner_matrix, wigner_rotation_oracle)
-from .states import BELL_TYPE_ANGLE, MixtureWeights, build_mixture, phi_state
+from .states import (BELL_TYPE_ANGLE, MixtureWeights, build_mixture, mixtures,
+                     phi_state)
 from .witness import (TieError, coefficient_table, detect, kkt_witness,
-                      separability_floor_check)
+                      separability_floor_check, witness_min_value)
 
 DEFAULT_SEED = 2024
+
+#: grid points evaluated per stacked pass; bounds the memory of the stacks
+SWEEP_BLOCK = 16
+
+SWEEP_FLOAT_FLAGS = ("start", "stop", "theta1", "theta2", "delta1", "delta2", "chi1", "chi2")
 
 CSV_COLUMNS = ("parameter", "value", "witness_value_closed_form",
                "witness_value_numeric", "entropy_bits", "min_ppt_eig",
@@ -72,7 +79,7 @@ def _load_weights(path: str) -> MixtureWeights:
     try:
         return MixtureWeights.from_mapping(data.get("q", {}),
                                            parity=data.get("parity", "free"))
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid weights in {path!r}: {exc}") from exc
 
 
@@ -109,16 +116,17 @@ def cmd_state(args) -> None:
     }, args.out)
 
 
-def _boosted_rho(args, weights: MixtureWeights) -> np.ndarray:
+def _load_state(args) -> tuple[MixtureWeights, np.ndarray]:
+    """The --weights mixture at --theta, filtered at --theta1/--theta2."""
+    weights = _load_weights(args.weights)
     rho = build_mixture(weights, args.theta)
     if args.theta1 or args.theta2:
         rho = effective_boost_mixture(rho, args.theta1, args.theta2)
-    return rho
+    return weights, rho
 
 
 def cmd_rho(args) -> None:
-    weights = _load_weights(args.weights)
-    rho = _boosted_rho(args, weights)
+    weights, rho = _load_state(args)
     doc = {
         "command": "rho",
         "parity": weights.parity,
@@ -139,8 +147,7 @@ def cmd_rho(args) -> None:
 def cmd_boost(args) -> None:
     e_hat = _parse_vec(args.e)
     e_hat = e_hat / np.linalg.norm(e_hat)
-    particles = []
-    angles = []
+    particles, angles = [], []
     for delta, p_text in ((args.delta1, args.p1), (args.delta2, args.p2)):
         p_hat = _parse_vec(p_text)
         p_hat = p_hat / np.linalg.norm(p_hat)
@@ -169,8 +176,7 @@ def cmd_boost(args) -> None:
 
 
 def cmd_ppt(args) -> None:
-    weights = _load_weights(args.weights)
-    rho = _boosted_rho(args, weights)
+    weights, rho = _load_state(args)
     spec_a = ppt_spectrum(rho, "A")
     spec_b = ppt_spectrum(rho, "B")
     doc = {
@@ -198,8 +204,9 @@ def cmd_ppt(args) -> None:
 
 
 def cmd_witness(args) -> None:
-    weights = _load_weights(args.weights)
-    rho = _boosted_rho(args, weights)
+    if args.floor_samples < 0:
+        raise UsageError("--floor-samples must be nonnegative")
+    weights, rho = _load_state(args)
     coeffs, w = kkt_witness(rho)
     doc = {
         "command": "witness",
@@ -227,8 +234,7 @@ def cmd_witness(args) -> None:
 
 
 def cmd_measure(args) -> None:
-    weights = _load_weights(args.weights)
-    rho = _boosted_rho(args, weights)
+    weights, rho = _load_state(args)
     edge = edge_state(1, args.theta)
     try:
         _, measure = doew_from_edge(rho, edge)
@@ -266,55 +272,60 @@ def fr_companion_weights(q1: float) -> MixtureWeights:
     return MixtureWeights.odd(mapping)
 
 
-def _sweep_point(weights: MixtureWeights, theta1: float, theta2: float,
-                 edge: np.ndarray) -> dict:
-    rho = build_mixture(weights)
-    boosted = effective_boost_mixture(rho, theta1, theta2)
-    coeffs, _ = kkt_witness(boosted)
-    return {
-        "witness_value_closed_form": relativistic_witness_value(weights, theta1, theta2),
-        "witness_value_numeric": coeffs.min_value,
-        "entropy_bits": entropy_formula(theta1, theta2),
-        "min_ppt_eig": float(ppt_spectrum(boosted, "A")[0]),
-        "hs_measure": hs_distance(edge, boosted),
-    }
-
-
-def build_sweep_rows(args) -> list[dict]:
+def _sweep_inputs(args) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    """Validated grid with the weights and filter angles of every point."""
+    for name in SWEEP_FLOAT_FLAGS:
+        value = getattr(args, name)
+        if not (isinstance(value, (int, float)) and np.isfinite(value)):
+            raise UsageError(f"--{name} must be a finite number, got {value!r}")
     if args.steps < 2:
         raise UsageError("steps must be at least 2")
     if not args.start < args.stop:
         raise UsageError("start must be strictly below stop")
+    if args.parameter not in ("theta1", "theta2", "alpha", "q1"):
+        raise UsageError(f"unknown sweep parameter {args.parameter!r}")
     grid = np.linspace(args.start, args.stop, args.steps)
-    edge = edge_state(1)
+    theta1, theta2 = np.full(args.steps, args.theta1), np.full(args.steps, args.theta2)
     if args.parameter == "q1":
-        base = None
+        return grid, [fr_companion_weights(float(v)) for v in grid], theta1, theta2
+    if not args.weights:
+        raise UsageError(f"--weights is required for a {args.parameter} sweep")
+    base = _load_weights(args.weights)
+    if base.parity != "odd":
+        raise UsageError("sweeps need odd-parity weights")
+    if args.parameter == "theta1":
+        theta1 = grid
+    elif args.parameter == "theta2":
+        theta2 = grid
     else:
-        if not args.weights:
-            raise UsageError(f"--weights is required for a {args.parameter} sweep")
-        base = _load_weights(args.weights)
-        if base.parity != "odd":
-            raise UsageError("sweeps need odd-parity weights")
+        e_hat = np.array([0.0, 0.0, 1.0])
+        p1 = np.array([0.0, np.sin(args.chi1), np.cos(args.chi1)])
+        p2 = np.array([0.0, np.sin(args.chi2), np.cos(args.chi2)])
+        theta1, theta2 = np.array([effective_angles(float(v), e_hat, args.delta1, p1,
+                                                    args.delta2, p2) for v in grid]).T
+    return grid, [base] * args.steps, theta1, theta2
+
+
+def build_sweep_rows(args) -> list[dict]:
+    """One row per grid point; the numeric columns come from stacked blocks of
+    SWEEP_BLOCK points (mixture, filter, correlation-matrix SVD, PT spectrum)."""
+    grid, weights, theta1, theta2 = _sweep_inputs(args)
+    edge = edge_state(1)
+    numeric, min_ppt, hs = np.empty((3, len(grid)))
+    for lo in range(0, len(grid), SWEEP_BLOCK):
+        block = slice(lo, lo + SWEEP_BLOCK)
+        rho = mixtures(np.stack([w.q for w in weights[block]]))
+        boosted = effective_boost_mixture(rho, theta1[block], theta2[block])
+        numeric[block] = witness_min_value(boosted)
+        min_ppt[block] = ppt_spectrum(boosted, "A")[:, 0]
+        hs[block] = hs_distance(edge, boosted)
     rows = []
-    for value in grid:
-        if args.parameter == "theta1":
-            w, t1, t2 = base, float(value), args.theta2
-        elif args.parameter == "theta2":
-            w, t1, t2 = base, args.theta1, float(value)
-        elif args.parameter == "alpha":
-            e_hat = np.array([0.0, 0.0, 1.0])
-            p1 = np.array([0.0, np.sin(args.chi1), np.cos(args.chi1)])
-            p2 = np.array([0.0, np.sin(args.chi2), np.cos(args.chi2)])
-            t1, t2 = effective_angles(float(value), e_hat,
-                                      args.delta1, p1, args.delta2, p2)
-            w = base
-        elif args.parameter == "q1":
-            w, t1, t2 = fr_companion_weights(float(value)), args.theta1, args.theta2
-        else:
-            raise UsageError(f"unknown sweep parameter {args.parameter!r}")
-        row = {"parameter": args.parameter, "value": float(value)}
-        row.update(_sweep_point(w, t1, t2, edge))
-        rows.append(row)
+    for n, value in enumerate(grid):
+        w, t1, t2 = weights[n], float(theta1[n]), float(theta2[n])
+        rows.append(dict(zip(CSV_COLUMNS, (
+            args.parameter, float(value), relativistic_witness_value(w, t1, t2),
+            float(numeric[n]), entropy_formula(t1, t2), float(min_ppt[n]),
+            float(hs[n])))))
     return rows
 
 
@@ -346,124 +357,92 @@ def cmd_sweep(args) -> None:
 
 # ------------------------------------------------------------------- parsing
 
-def _add_angle_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, default=BELL_TYPE_ANGLE,
-                   help="mixing angle of the state family (default pi/4)")
-    p.add_argument("--theta1", type=float, default=0.0,
-                   help="effective rotation angle of momentum sector 1")
-    p.add_argument("--theta2", type=float, default=0.0,
-                   help="effective rotation angle of momentum sector 2")
+_WEIGHTS = {"--weights": dict(required=True, help="weights JSON file")}
+_ANGLES = {
+    "--theta": dict(type=float, default=BELL_TYPE_ANGLE,
+                    help="mixing angle of the state family (default pi/4)"),
+    "--theta1": dict(type=float, default=0.0,
+                     help="effective rotation angle of momentum sector 1"),
+    "--theta2": dict(type=float, default=0.0,
+                     help="effective rotation angle of momentum sector 2"),
+}
+_COMMON = {
+    "--config": dict(help="JSON file of default flag values"),
+    "--out": dict(help="write JSON/CSV to this file instead of stdout"),
+    "--seed": dict(type=int, default=DEFAULT_SEED,
+                   help=f"seed for all sampling (default {DEFAULT_SEED})"),
+}
+
+#: subcommand -> (handler, help, flags before the common ones)
+COMMANDS = {
+    "state": (cmd_state, "print one entangled basis state", {
+        "--phi": dict(type=int, required=True, choices=range(1, 17), metavar="1..16"),
+        "--theta": dict(type=float, default=BELL_TYPE_ANGLE)}),
+    "rho": (cmd_rho, "build a mixture and report its spectrum", {
+        **_WEIGHTS, "--full": dict(action="store_true", help="include the full matrix"),
+        **_ANGLES}),
+    "boost": (cmd_boost, "Wigner rotation data for two particles", {
+        "--alpha": dict(type=float, required=True, help="observer rapidity"),
+        "--e": dict(default="0,0,1", help="boost direction (comma separated)"),
+        "--delta1": dict(type=float, default=2.0),
+        "--p1": dict(default="0,0.8660254037844386,0.5"),
+        "--delta2": dict(type=float, default=2.0),
+        "--p2": dict(default="0,0.8660254037844386,-0.5")}),
+    "ppt": (cmd_ppt, "partial-transpose spectra and feasible region",
+            {**_WEIGHTS, **_ANGLES}),
+    "witness": (cmd_witness, "construct the optimal witness", {
+        **_WEIGHTS, "--floor-samples": dict(type=int, default=0, help=(
+            "also sample the separable-state floor with this many states")),
+        **_ANGLES}),
+    "measure": (cmd_measure, "entanglement measures for a mixture",
+                {**_WEIGHTS, **_ANGLES}),
+    "sweep": (cmd_sweep, "sweep one parameter and emit CSV", {
+        "--parameter": dict(required=True, choices=("theta1", "theta2", "alpha", "q1")),
+        "--start": dict(type=float, required=True),
+        "--stop": dict(type=float, required=True),
+        "--steps": dict(type=int, required=True),
+        "--weights": dict(help="weights JSON (theta/alpha sweeps)"),
+        "--theta1": dict(type=float, default=0.0),
+        "--theta2": dict(type=float, default=0.0),
+        "--delta1": dict(type=float, default=2.0,
+                         help="particle 1 rapidity for alpha sweeps"),
+        "--delta2": dict(type=float, default=2.0),
+        "--chi1": dict(type=float, default=np.pi / 3,
+                       help="particle 1 momentum polar angle (yz-plane)"),
+        "--chi2": dict(type=float, default=2 * np.pi / 3),
+        "--record": dict(help="write a reproducible run record JSON here")}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The ``doew`` parser; ``defaults`` (from --config) replace built-in flag defaults."""
     parser = argparse.ArgumentParser(
         prog="doew",
         description="Entanglement witnesses for two-particle momentum-spin states")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON file of default flag values")
-        p.add_argument("--out", help="write JSON/CSV to this file instead of stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"seed for all sampling (default {DEFAULT_SEED})")
-
-    p = sub.add_parser("state", help="print one entangled basis state")
-    p.add_argument("--phi", type=int, required=True, choices=range(1, 17),
-                   metavar="1..16")
-    p.add_argument("--theta", type=float, default=BELL_TYPE_ANGLE)
-    common(p)
-    p.set_defaults(func=cmd_state)
-
-    p = sub.add_parser("rho", help="build a mixture and report its spectrum")
-    p.add_argument("--weights", required=True, help="weights JSON file")
-    p.add_argument("--full", action="store_true", help="include the full matrix")
-    _add_angle_args(p)
-    common(p)
-    p.set_defaults(func=cmd_rho)
-
-    p = sub.add_parser("boost", help="Wigner rotation data for two particles")
-    p.add_argument("--alpha", type=float, required=True, help="observer rapidity")
-    p.add_argument("--e", default="0,0,1", help="boost direction (comma separated)")
-    p.add_argument("--delta1", type=float, default=2.0)
-    p.add_argument("--p1", default="0,0.8660254037844386,0.5")
-    p.add_argument("--delta2", type=float, default=2.0)
-    p.add_argument("--p2", default="0,0.8660254037844386,-0.5")
-    common(p)
-    p.set_defaults(func=cmd_boost)
-
-    p = sub.add_parser("ppt", help="partial-transpose spectra and feasible region")
-    p.add_argument("--weights", required=True)
-    _add_angle_args(p)
-    common(p)
-    p.set_defaults(func=cmd_ppt)
-
-    p = sub.add_parser("witness", help="construct the optimal witness")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--floor-samples", type=int, default=0,
-                   help="also sample the separable-state floor with this many states")
-    _add_angle_args(p)
-    common(p)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("measure", help="entanglement measures for a mixture")
-    p.add_argument("--weights", required=True)
-    _add_angle_args(p)
-    common(p)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("sweep", help="sweep one parameter and emit CSV")
-    p.add_argument("--parameter", required=True,
-                   choices=("theta1", "theta2", "alpha", "q1"))
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--weights", help="weights JSON (theta/alpha sweeps)")
-    p.add_argument("--theta1", type=float, default=0.0)
-    p.add_argument("--theta2", type=float, default=0.0)
-    p.add_argument("--delta1", type=float, default=2.0,
-                   help="particle 1 rapidity for alpha sweeps")
-    p.add_argument("--delta2", type=float, default=2.0)
-    p.add_argument("--chi1", type=float, default=np.pi / 3,
-                   help="particle 1 momentum polar angle (yz-plane)")
-    p.add_argument("--chi2", type=float, default=2 * np.pi / 3)
-    p.add_argument("--record", help="write a reproducible run record JSON here")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in {**flags, **_COMMON}.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func, **(defaults or {}))
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
-    config = _load_json(args.config)
-    defaults = parser.parse_args([args.command] + _required_stub(args))
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+def _config_defaults(args: argparse.Namespace) -> dict:
+    config = {key.replace("-", "_"): v for key, v in _load_json(args.config).items()}
+    for key in config:
+        if not hasattr(args, key) or key in ("command", "config", "func"):
             raise UsageError(f"unknown config key {key!r}")
-        # a flag still holding its default is overridden by the config value
-        if getattr(args, attr) == getattr(defaults, attr, None):
-            setattr(args, attr, value)
-
-
-def _required_stub(args: argparse.Namespace) -> list[str]:
-    # minimal argv to re-derive defaults for the active subcommand
-    stub = []
-    for name in ("weights", "parameter"):
-        if getattr(args, name, None) is not None:
-            stub += [f"--{name}", str(getattr(args, name))]
-    for name in ("phi", "alpha", "start", "stop", "steps"):
-        if getattr(args, name, None) is not None:
-            stub += [f"--{name}", str(getattr(args, name))]
-    return stub
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args, parser)
+        if args.config:
+            # parse again with the file's values as defaults: explicit flags win
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

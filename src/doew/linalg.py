@@ -20,19 +20,20 @@ NEGATIVE_EIG_TOL = 1e-8
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose (of each matrix in a stack)."""
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
 def hermitian_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
+    """Largest entrywise deviation of m (or of a stack) from its conjugate transpose."""
     m = np.asarray(m)
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """m as a complex array, checked Hermitian matrix by matrix."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = hermitian_deviation(m)
     if dev > tol:
@@ -53,25 +54,26 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _split(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     da, db = dims
     rho = np.asarray(rho)
-    if rho.shape != (da * db, da * db):
+    if rho.shape[-2:] != (da * db, da * db):
         raise ValueError(f"operator shape {rho.shape} does not match dims {dims}")
-    return rho.reshape(da, db, da, db)
+    return rho.reshape(rho.shape[:-2] + (da, db, da, db))
 
 
 def partial_transpose(rho: np.ndarray, dims: tuple[int, int] = (4, 4),
                       party: str = "A") -> np.ndarray:
-    """Partial transpose over one party of a bipartite operator.
+    """Partial transpose over one party of a bipartite operator, or of each
+    operator in a stack of shape (..., da*db, da*db).
 
     Involutive, trace-preserving, and Hermiticity-preserving.
     """
     r4 = _split(rho, dims)
     if party == "A":
-        out = r4.transpose(2, 1, 0, 3)
+        out = np.swapaxes(r4, -4, -2)
     elif party == "B":
-        out = r4.transpose(0, 3, 2, 1)
+        out = np.swapaxes(r4, -3, -1)
     else:
         raise ValueError("party must be 'A' or 'B'")
-    return out.reshape(rho.shape)
+    return out.reshape(np.shape(rho))
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int] = (4, 4),
@@ -111,8 +113,8 @@ def psd_sqrt(op: np.ndarray) -> np.ndarray:
 
 
 def hs_norm(m: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr(m^dag m))."""
-    return float(np.linalg.norm(np.asarray(m)))
+    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr(m^dag m)), per matrix of a stack."""
+    return np.linalg.norm(np.asarray(m), axis=(-2, -1))
 
 
 def trace_norm_sym(m: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hs_norm, require_hermitian
+from .relativity import sector_weights
 from .states import MixtureWeights
 from .witness import b_coefficients
 
@@ -21,18 +22,6 @@ NORM_TOL = 1e-10
 # reduced-state eigenvalues below this are treated as exact zeros (0 log 0 = 0)
 EIGENVALUE_FLOOR = 1e-14
 
-# both momentum sectors annihilated (angles within ~1e-8 of pi) is a domain error
-SECTOR_WEIGHT_FLOOR = 1e-30
-
-
-def _half_cos_sq(theta1: float, theta2: float) -> tuple[float, float, float]:
-    # half-angle cosines squared keep the ratio stable near theta = pi
-    c1, c2 = np.cos(theta1 / 2) ** 2, np.cos(theta2 / 2) ** 2
-    s = c1 ** 2 + c2 ** 2
-    if s < SECTOR_WEIGHT_FLOOR:
-        raise ValueError("undefined when both angles reach pi")
-    return c1, c2, s
-
 
 def kappa(theta1: float, theta2: float) -> float:
     """Angle factor cos^2(t1/2) cos^2(t2/2) / (cos^4(t1/2) + cos^4(t2/2)).
@@ -40,15 +29,15 @@ def kappa(theta1: float, theta2: float) -> float:
     Equals 1/2 exactly when theta1 == theta2 and decreases strictly as the
     angles separate.
     """
-    c1, c2, s = _half_cos_sq(theta1, theta2)
-    return c1 * c2 / s
+    k1, k2, s = sector_weights(theta1, theta2)
+    return k1 ** 2 * k2 ** 2 / s
 
 
 def reduced_eigenvalue_pair(theta1: float, theta2: float) -> tuple[float, float]:
     """Distinct reduced-state eigenvalues (each doubly degenerate) of a filtered
     odd-family pure state; they sum to 1/2."""
-    c1, c2, s = _half_cos_sq(theta1, theta2)
-    return c1 ** 2 / (2 * s), c2 ** 2 / (2 * s)
+    k1, k2, s = sector_weights(theta1, theta2)
+    return k1 ** 4 / (2 * s), k2 ** 4 / (2 * s)
 
 
 @dataclass(frozen=True)
@@ -96,9 +85,9 @@ def entropy_formula(theta1: float, theta2: float) -> float:
 
 
 def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt distance ||a - b||."""
+    """Hilbert-Schmidt distance ||a - b||, broadcast over stacks of matrices."""
     a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return hs_norm(a - b)
 

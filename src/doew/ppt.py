@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import partial_transpose, require_hermitian
+from .relativity import sector_weights
 from .states import BELL_TYPE_ANGLE, MixtureWeights, build_mixture
 
 FR_TOL = 1e-10
@@ -26,12 +27,17 @@ EQUALITY_PAIRS = ((1, 7), (3, 5), (9, 13), (11, 15))
 HALF_SUM_INDICES = (1, 3, 11, 9)
 
 
-def ppt_spectrum(rho: np.ndarray, party: str = "A") -> np.ndarray:
-    """Ascending eigenvalues of the particle-particle partial transpose."""
+def _pt_spectrum(rho: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarray:
     rho = require_hermitian(rho)
-    if rho.shape != (16, 16):
+    if rho.shape[-2:] != (16, 16):
         raise ValueError("expected a 16x16 two-particle operator")
-    return np.linalg.eigvalsh(partial_transpose(rho, (4, 4), party))
+    return np.linalg.eigvalsh(partial_transpose(rho, dims, party))
+
+
+def ppt_spectrum(rho: np.ndarray, party: str = "A") -> np.ndarray:
+    """Ascending eigenvalues of the particle-particle partial transpose, one
+    spectrum per matrix of a stack of shape (..., 16, 16)."""
+    return _pt_spectrum(rho, (4, 4), party)
 
 
 def momentum_label_pt_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -41,10 +47,7 @@ def momentum_label_pt_spectrum(rho: np.ndarray) -> np.ndarray:
     a 2 (x) 8 bipartition; this is the transpose whose closed-form spectrum
     ``closed_form_momentum_pt`` reproduces.
     """
-    rho = require_hermitian(rho)
-    if rho.shape != (16, 16):
-        raise ValueError("expected a 16x16 two-particle operator")
-    return np.linalg.eigvalsh(partial_transpose(rho, (2, 8), "A"))
+    return _pt_spectrum(rho, (2, 8), "A")
 
 
 def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,
@@ -61,10 +64,8 @@ def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,
     if weights.parity != "odd":
         raise ValueError("closed-form spectrum applies to odd-parity weights")
     q = weights.weight
-    c1, c2 = np.cos(theta1 / 2) ** 2, np.cos(theta2 / 2) ** 2
-    s = c1 ** 2 + c2 ** 2
-    if s < 1e-30:
-        raise ValueError("both sector weights vanish (theta1 = theta2 = pi)")
+    k1, k2, s = sector_weights(theta1, theta2)
+    c1, c2 = k1 ** 2, k2 ** 2
     sums = [q(9) + q(13), q(11) + q(15), q(3) + q(5), q(1) + q(7)]
     diffs = [q(9) - q(13), q(11) - q(15), q(3) - q(5), q(1) - q(7)]
     lam = []

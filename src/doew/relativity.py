@@ -197,12 +197,22 @@ def boost_mixture(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarr
     return u @ rho @ dagger(u)
 
 
-def momentum_attenuation(theta1: float, theta2: float) -> np.ndarray:
-    """Diagonal single-particle filter weighting sector p_i by cos(theta_i / 2)."""
-    c1, c2 = np.cos(theta1 / 2), np.cos(theta2 / 2)
-    if c1 ** 4 + c2 ** 4 < SECTOR_WEIGHT_FLOOR:
+def sector_weights(theta1, theta2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-angle cosines k_i = cos(theta_i / 2) weighting momentum sector p_i,
+    and S = k1^4 + k2^4, elementwise over arrays of angles; every closed form
+    of the filtered family depends on the angles only through these."""
+    k1, k2 = np.cos(theta1 / 2), np.cos(theta2 / 2)
+    s = k1 ** 4 + k2 ** 4
+    if (s < SECTOR_WEIGHT_FLOOR).any():
         raise ValueError("both sector weights vanish (theta1 = theta2 = pi)")
-    return np.diag([c1, c1, c2, c2]).astype(complex)
+    return k1, k2, s
+
+
+def _filter_diagonal(theta1, theta2) -> np.ndarray:
+    # diagonal of kron(K, K) for K = diag(k1, k1, k2, k2), shape (..., 16)
+    k1, k2 = np.broadcast_arrays(*sector_weights(theta1, theta2)[:2])
+    k = np.stack([k1, k1, k2, k2], axis=-1)
+    return (k[..., :, None] * k[..., None, :]).reshape(k.shape[:-1] + (16,))
 
 
 def effective_boost_pure(state: np.ndarray, theta1: float, theta2: float) -> np.ndarray:
@@ -214,26 +224,28 @@ def effective_boost_pure(state: np.ndarray, theta1: float, theta2: float) -> np.
     state = np.asarray(state, dtype=complex)
     if state.shape != (16,):
         raise ValueError("state must have 16 components")
-    k = momentum_attenuation(theta1, theta2)
-    out = np.kron(k, k) @ state
+    out = _filter_diagonal(theta1, theta2) * state
     norm = np.linalg.norm(out)
     if norm ** 2 < SECTOR_WEIGHT_FLOOR:
         raise ValueError("filtered state vanishes for these angles")
     return out / norm
 
 
-def effective_boost_mixture(rho: np.ndarray, theta1: float, theta2: float) -> np.ndarray:
-    """Momentum-sector filtered density matrix, renormalized to unit trace."""
+def effective_boost_mixture(rho: np.ndarray, theta1, theta2) -> np.ndarray:
+    """Momentum-sector filtered density matrix, renormalized to unit trace.
+
+    rho may be a stack (..., 16, 16) and the angles arrays broadcasting
+    against its leading axes; the filter scales entry (a, b) by d_a d_b.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (16, 16):
+    if rho.shape[-2:] != (16, 16):
         raise ValueError("density matrix must be 16x16")
-    k = momentum_attenuation(theta1, theta2)
-    kk = np.kron(k, k)
-    out = kk @ rho @ kk.conj().T
-    tr = np.trace(out).real
-    if tr < SECTOR_WEIGHT_FLOOR:
+    d = _filter_diagonal(theta1, theta2)
+    out = rho * (d[..., :, None] * d[..., None, :])
+    tr = np.trace(out, axis1=-2, axis2=-1).real
+    if np.any(tr < SECTOR_WEIGHT_FLOOR):
         raise ValueError("filtered mixture vanishes for these angles")
-    return out / tr
+    return out / tr[..., None, None]
 
 
 def effective_angles(alpha: float, e_hat: np.ndarray,

@@ -8,9 +8,9 @@ so a boost, which acts per momentum sector, is block-diagonal.  Two-particle
 index = 4 * (first particle index) + (second particle index).
 
 The sixteen entangled states ``phi_state(i, theta)`` are built from the four
-one-particle Bell vectors; at the Bell-type angle theta = pi/4 the odd-index
-states are supported purely on equal-momentum kets and the even-index states
-purely on cross-momentum kets.
+one-particle Bell vectors, tabulated once at import (``family_matrix``); at
+the Bell-type angle theta = pi/4 the odd-index states are supported purely on
+equal-momentum kets and the even-index states purely on cross-momentum kets.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import tensor_product
 
 BELL_TYPE_ANGLE = np.pi / 4
 
@@ -60,11 +58,9 @@ def two_particle_bell(kind: str, pair: tuple[int, int]) -> np.ndarray:
     if sign is None:
         raise ValueError(f"kind must be psi+/psi-/phi+/phi-, got {kind!r}")
     a, b = (one_particle_bell(k) for k in pair)
-    if kind.startswith("psi"):
-        v = tensor_product(a, a) + sign * tensor_product(b, b)
-    else:
-        v = tensor_product(a, b) + sign * tensor_product(b, a)
-    return v / np.sqrt(2.0)
+    x, y = (a, b) if kind.startswith("psi") else (b, a)
+    # a (x) x + sign b (x) y, as the flattened outer products
+    return (np.outer(a, x) + sign * np.outer(b, y)).ravel() / np.sqrt(2.0)
 
 
 # (kind, pair for the cos branch, pair for the sin branch, sign of sin branch)
@@ -88,13 +84,24 @@ _PHI_RECIPE = {
 }
 
 
+# the whole family is the static linear map U(theta) = cos(theta) C + sin(theta) S,
+# column i-1 of C and S holding the two branches of phi_i
+_FAMILY_C = np.stack([two_particle_bell(kind, pair_c)
+                      for kind, pair_c, _, _ in _PHI_RECIPE.values()], axis=1)
+_FAMILY_S = np.stack([sign * two_particle_bell(kind, pair_s)
+                      for kind, _, pair_s, sign in _PHI_RECIPE.values()], axis=1)
+
+
+def family_matrix(theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
+    """16x16 unitary whose column i-1 is phi_state(i, theta)."""
+    return np.cos(theta) * _FAMILY_C + np.sin(theta) * _FAMILY_S
+
+
 def phi_state(i: int, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
     """i-th member (1..16) of the orthonormal entangled family at mixing angle theta."""
     if i not in _PHI_RECIPE:
         raise ValueError(f"state index must be 1..16, got {i}")
-    kind, pair_c, pair_s, sign = _PHI_RECIPE[i]
-    return (np.cos(theta) * two_particle_bell(kind, pair_c)
-            + sign * np.sin(theta) * two_particle_bell(kind, pair_s))
+    return family_matrix(theta)[:, i - 1]
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,8 @@ class MixtureWeights:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (16,):
             raise ValueError(f"weights must have 16 entries, got shape {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError("weights must be finite")
         if q.min() < 0.0:
             raise ValueError(f"weights must be nonnegative (min {q.min():.3e})")
         total = q.sum()
@@ -148,15 +157,15 @@ class MixtureWeights:
         return float(self.q[i - 1])
 
 
+def mixtures(q: np.ndarray, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
+    """Density matrices sum_i q_i |phi_i><phi_i| for weight vectors q of shape (..., 16)."""
+    u = family_matrix(theta)
+    return (u * np.asarray(q, dtype=float)[..., None, :]) @ u.conj().T
+
+
 def build_mixture(weights: MixtureWeights, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
     """Density matrix sum_i q_i |phi_i><phi_i|; unit trace, PSD by construction."""
-    rho = np.zeros((16, 16), dtype=complex)
-    for i in range(1, 17):
-        qi = weights.weight(i)
-        if qi:
-            v = phi_state(i, theta)
-            rho += qi * np.outer(v, v.conj())
-    return rho
+    return mixtures(weights.q, theta)
 
 
 def two_particle_momenta(index: int) -> tuple[int, int]:

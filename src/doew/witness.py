@@ -57,17 +57,27 @@ def operator_basis() -> np.ndarray:
 
 
 _BASIS = operator_basis()
+# row i is Q_i flattened, so each basis change is a single 16x16 product
+_QF = _BASIS.reshape(16, 16)
 
 
-def correlation_matrix(rho: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Real 16x16 matrix of expectations Tr(rho Q_i (x) Q_j)."""
+def _realign(m: np.ndarray, axes: tuple[int, int, int, int]) -> np.ndarray:
+    # permute the four 4-dimensional indices of each 16x16 matrix of a stack
+    m4 = m.reshape(m.shape[:-2] + (4, 4, 4, 4))
+    return np.moveaxis(m4, [a - 4 for a in axes], range(-4, 0)).reshape(m.shape)
+
+
+def correlation_matrix(rho: np.ndarray) -> np.ndarray:
+    """Real 16x16 matrix of expectations Tr(rho Q_i (x) Q_j), per matrix of a
+    stack of shape (..., 16, 16).
+
+    Tr(rho Q_i (x) Q_j) = sum rho[(p,q),(r,s)] Q_i[r,p] Q_j[s,q], so realigning
+    rho into X[(r,p),(s,q)] makes it the matrix product QF X QF^t.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (16, 16):
+    if rho.shape[-2:] != (16, 16):
         raise ValueError("expected a 16x16 operator")
-    q = _BASIS if basis is None else np.asarray(basis)
-    # row index (aA, aB), column index (bA, bB); trace pairs rho with Q (x) Q'
-    r4 = rho.reshape(4, 4, 4, 4)
-    rt = np.einsum("pqrs,irp,jsq->ij", r4, q, q, optimize=True)
+    rt = _QF @ _realign(rho, (2, 0, 3, 1)) @ _QF.T
     residue = float(np.max(np.abs(rt.imag)))
     if residue > IMAG_RESIDUE_TOL:
         raise ValueError(f"imaginary residue {residue:.3e} signals a non-Hermitian input")
@@ -88,14 +98,14 @@ class WitnessCoefficients:
     min_value: float
 
 
-def witness_operator(A: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Assemble W = I + sum_ij A_ij Q_i (x) Q_j as a dense 16x16 matrix."""
+def witness_operator(A: np.ndarray) -> np.ndarray:
+    """Assemble W = I + sum_ij A_ij Q_i (x) Q_j as a dense 16x16 matrix, per
+    coefficient matrix of a stack; the inverse realignment of
+    ``correlation_matrix``, so Tr(W rho) = 1 + <A, rho_tilde>."""
     A = np.asarray(A, dtype=float)
-    if A.shape != (16, 16):
+    if A.shape[-2:] != (16, 16):
         raise ValueError("coefficient matrix must be 16x16")
-    q = _BASIS if basis is None else np.asarray(basis)
-    w = np.einsum("ij,iab,jcd->acbd", A, q, q, optimize=True).reshape(16, 16)
-    return np.eye(16, dtype=complex) + w
+    return np.eye(16, dtype=complex) + _realign(_QF.T @ A @ _QF, (0, 2, 1, 3))
 
 
 def kkt_witness(rho: np.ndarray,
@@ -116,6 +126,12 @@ def kkt_witness(rho: np.ndarray,
     min_value = 1.0 - float(sv.sum())
     coeffs = WitnessCoefficients(A=A, lagrange_Z=z, min_value=min_value)
     return coeffs, witness_operator(A)
+
+
+def witness_min_value(rho: np.ndarray) -> np.ndarray:
+    """min Tr(W rho) = 1 - Tr sqrt(rho_tilde^t rho_tilde) of the optimal witness,
+    per matrix of a stack; ``kkt_witness``'s min_value without building W."""
+    return 1.0 - np.linalg.svd(correlation_matrix(rho), compute_uv=False).sum(axis=-1)
 
 
 def b_coefficients(weights: MixtureWeights) -> np.ndarray:

@@ -247,3 +247,48 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "measure", "--weights", wpath,
                        "--config", str(cfg), "--theta2", "0.5")
     assert json.loads(out)["theta2"] == 0.5
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_sweep_rejects_non_finite_weights(tmp_path, capsys, bad):
+    path = write_weights(tmp_path, {1: bad, 3: 1.0})
+    code, out, err = run(capsys, "sweep", "--parameter", "theta2", "--start", "0",
+                         "--stop", "1", "--steps", "3", "--weights", path)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["start", "stop", "theta1", "theta2",
+                                  "delta1", "delta2", "chi1", "chi2"])
+def test_sweep_rejects_non_finite_flags(capsys, flag, value):
+    flags = {"parameter": "q1", "start": "0", "stop": "0.5", "steps": "3", flag: value}
+    code, out, err = run(capsys, "sweep", *[f"--{k}={v}" for k, v in flags.items()])
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and f"--{flag}" in err
+
+
+def test_witness_rejects_negative_floor_samples(tmp_path, capsys):
+    path = write_weights(tmp_path, ACCEPTANCE)
+    code, out, err = run(capsys, "witness", "--weights", path, "--floor-samples", "-5")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "--floor-samples" in err
+
+
+def test_weights_q_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text('{"q": [1.0], "parity": "odd"}')
+    code, _, err = run(capsys, "witness", "--weights", str(path))
+    assert code == 2
+    assert err.count("\n") == 1
+
+
+def test_config_never_overrides_an_explicit_flag(tmp_path, capsys):
+    # an explicit flag wins even when it repeats the built-in default
+    wpath = write_weights(tmp_path, {1: 1.0})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta2": 1.5}))
+    code, out, _ = run(capsys, "measure", "--weights", wpath,
+                       "--config", str(cfg), "--theta2", "0.0")
+    assert code == 0
+    assert json.loads(out)["theta2"] == 0.0

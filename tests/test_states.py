@@ -102,6 +102,9 @@ def test_weights_validation():
         MixtureWeights.from_mapping({1: 1.0}, parity="bogus")
     with pytest.raises(ValueError):
         MixtureWeights.from_mapping({0: 1.0})
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureWeights.from_mapping({1: bad, 3: 1.0})
     w = MixtureWeights.from_mapping({1: 0.5 + 4e-13, 3: 0.5}, parity="odd")
     assert abs(w.q.sum() - 1.0) < 1e-15  # renormalized exactly
 
