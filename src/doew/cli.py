@@ -41,8 +41,6 @@ DEFAULT_SEED = 2024
 #: grid points evaluated per stacked pass; bounds the memory of the stacks
 SWEEP_BLOCK = 16
 
-SWEEP_FLOAT_FLAGS = ("start", "stop", "theta1", "theta2", "delta1", "delta2", "chi1", "chi2")
-
 CSV_COLUMNS = ("parameter", "value", "witness_value_closed_form",
                "witness_value_numeric", "entropy_bits", "min_ppt_eig",
                "hs_measure")
@@ -56,11 +54,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _complex_pairs(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in m]
-    return [_complex_pairs(row) for row in m]
+def _jsonable(value):
+    """json.dumps hook: arrays become lists, complex entries [re, im] pairs."""
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = np.stack([value.real, value.imag], axis=-1)
+        return value.tolist()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _load_json(path: str) -> dict:
@@ -84,23 +84,32 @@ def _load_weights(path: str) -> MixtureWeights:
 
 
 def _parse_vec(text: str) -> np.ndarray:
+    """The unit vector along comma-separated components."""
     try:
         v = np.array([float(part) for part in text.split(",")], dtype=float)
     except ValueError as exc:
         raise UsageError(f"expected comma-separated floats, got {text!r}") from exc
     if v.shape != (3,):
         raise UsageError(f"expected three components, got {text!r}")
-    return v
+    norm = np.linalg.norm(v)
+    if not 0.0 < norm < np.inf:
+        raise UsageError(f"expected a finite nonzero vector, got {text!r}")
+    return v / norm
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(doc: dict, out: str | None) -> None:
+    """doc as JSON headed by the tool version, to the file out or stdout."""
     doc = {"tool_version": __version__, **doc}
-    text = json.dumps(doc, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(doc, indent=2, default=_jsonable, allow_nan=False) + "\n", out)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -111,8 +120,8 @@ def cmd_state(args) -> None:
         "command": "state",
         "phi": args.phi,
         "theta": args.theta,
-        "amplitudes": _complex_pairs(v),
-        "norm": float(np.linalg.norm(v)),
+        "amplitudes": v,
+        "norm": np.linalg.norm(v),
     }, args.out)
 
 
@@ -133,43 +142,40 @@ def cmd_rho(args) -> None:
         "theta": args.theta,
         "theta1": args.theta1,
         "theta2": args.theta2,
-        "trace": float(np.trace(rho).real),
-        "eigenvalues": [float(x) for x in np.linalg.eigvalsh(rho)],
-        "purity": float(np.einsum("ij,ji->", rho, rho).real),
-        "reduced_A_eigenvalues": [float(x) for x in
-                                  np.linalg.eigvalsh(partial_trace(rho, (4, 4), "B"))],
+        "trace": np.trace(rho).real,
+        "eigenvalues": np.linalg.eigvalsh(rho),
+        "purity": np.einsum("ij,ji->", rho, rho).real,
+        "reduced_A_eigenvalues": np.linalg.eigvalsh(partial_trace(rho, (4, 4), "B")),
     }
     if args.full:
-        doc["matrix"] = _complex_pairs(rho)
+        doc["matrix"] = rho
     _emit(doc, args.out)
 
 
 def cmd_boost(args) -> None:
     e_hat = _parse_vec(args.e)
-    e_hat = e_hat / np.linalg.norm(e_hat)
     particles, angles = [], []
     for delta, p_text in ((args.delta1, args.p1), (args.delta2, args.p2)):
         p_hat = _parse_vec(p_text)
-        p_hat = p_hat / np.linalg.norm(p_hat)
         cos_half, sin_axis = wigner_half_angle(args.alpha, e_hat, delta, p_hat)
         oc, ov = wigner_rotation_oracle(args.alpha, e_hat, delta, p_hat)
         rot = wigner_matrix(cos_half, sin_axis)
         residual = max(abs(cos_half - oc), float(np.max(np.abs(sin_axis - ov))))
         particles.append({
             "delta": delta,
-            "p_hat": [float(x) for x in p_hat],
+            "p_hat": p_hat,
             "cos_half": cos_half,
-            "sin_half_axis": [float(x) for x in sin_axis],
+            "sin_half_axis": sin_axis,
             "omega": rot.omega,
-            "axis": [float(x) for x in rot.axis],
-            "d_matrix": _complex_pairs(rot.matrix),
+            "axis": rot.axis,
+            "d_matrix": rot.matrix,
             "oracle_residual": residual,
         })
         angles.append(rot.omega)
     _emit({
         "command": "boost",
         "alpha": args.alpha,
-        "e_hat": [float(x) for x in e_hat],
+        "e_hat": e_hat,
         "particles": particles,
         "effective_angles": angles,
     }, args.out)
@@ -183,23 +189,23 @@ def cmd_ppt(args) -> None:
         "command": "ppt",
         "theta1": args.theta1,
         "theta2": args.theta2,
-        "ppt_spectrum_A": [float(x) for x in spec_a],
-        "ppt_spectrum_B": [float(x) for x in spec_b],
-        "min_eigenvalue_A": float(spec_a[0]),
-        "min_eigenvalue_B": float(spec_b[0]),
+        "ppt_spectrum_A": spec_a,
+        "ppt_spectrum_B": spec_b,
+        "min_eigenvalue_A": spec_a[0],
+        "min_eigenvalue_B": spec_b[0],
     }
     if weights.parity == "odd":
         report = feasible_region_check(weights)
         mom = momentum_label_pt_spectrum(rho)
         closed = closed_form_momentum_pt(weights, args.theta1, args.theta2)
         doc["feasible_region"] = {
-            "equalities": [[name, float(r)] for name, r in report.equalities],
-            "inequalities": [[name, float(m)] for name, m in report.inequalities],
+            "equalities": report.equalities,
+            "inequalities": report.inequalities,
             "is_ppt": report.is_ppt,
         }
-        doc["momentum_label_spectrum"] = [float(x) for x in mom]
-        doc["closed_form_spectrum"] = [float(x) for x in closed]
-        doc["closed_form_residual"] = float(np.max(np.abs(mom - closed)))
+        doc["momentum_label_spectrum"] = mom
+        doc["closed_form_spectrum"] = closed
+        doc["closed_form_residual"] = np.max(np.abs(mom - closed))
     _emit(doc, args.out)
 
 
@@ -212,8 +218,8 @@ def cmd_witness(args) -> None:
         "command": "witness",
         "theta1": args.theta1,
         "theta2": args.theta2,
-        "A": [[float(x) for x in row] for row in coeffs.A],
-        "W_spectrum": [float(x) for x in np.linalg.eigvalsh(w)],
+        "A": coeffs.A,
+        "W_spectrum": np.linalg.eigvalsh(w),
         "min_value": coeffs.min_value,
         "detection": detect(w, rho),
         "verdict": "entangled" if coeffs.min_value < -1e-10 else "not detected",
@@ -223,7 +229,7 @@ def cmd_witness(args) -> None:
             weights, args.theta1, args.theta2)
         try:
             table = coefficient_table(weights)
-            doc["coefficient_table_max_diff"] = float(np.max(np.abs(table - coeffs.A)))
+            doc["coefficient_table_max_diff"] = np.max(np.abs(table - coeffs.A))
         except TieError as exc:
             doc["warning"] = f"closed-form table undefined ({exc}); using KKT coefficients"
     if args.floor_samples:
@@ -274,16 +280,10 @@ def fr_companion_weights(q1: float) -> MixtureWeights:
 
 def _sweep_inputs(args) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
     """Validated grid with the weights and filter angles of every point."""
-    for name in SWEEP_FLOAT_FLAGS:
-        value = getattr(args, name)
-        if not (isinstance(value, (int, float)) and np.isfinite(value)):
-            raise UsageError(f"--{name} must be a finite number, got {value!r}")
     if args.steps < 2:
         raise UsageError("steps must be at least 2")
     if not args.start < args.stop:
         raise UsageError("start must be strictly below stop")
-    if args.parameter not in ("theta1", "theta2", "alpha", "q1"):
-        raise UsageError(f"unknown sweep parameter {args.parameter!r}")
     grid = np.linspace(args.start, args.stop, args.steps)
     theta1, theta2 = np.full(args.steps, args.theta1), np.full(args.steps, args.theta2)
     if args.parameter == "q1":
@@ -336,23 +336,14 @@ def cmd_sweep(args) -> None:
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow([row["parameter"]] + [_fmt(row[c]) for c in CSV_COLUMNS[1:]])
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args.out)
     if args.record:
-        record = {
-            "tool_version": __version__,
+        _emit({
             "seed": args.seed,
             "inputs": {k: v for k, v in vars(args).items()
                        if k not in ("func", "record", "out", "config")},
             "rows": rows,
-        }
-        with open(args.record, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        }, args.record)
 
 
 # ------------------------------------------------------------------- parsing
@@ -437,12 +428,32 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     return config
 
 
+#: a flag's type -> (what its value must be, test of a value); a --config file
+#: can supply any JSON value, so every flag of the command is checked
+_FLAG_RULES = {
+    float: ("a finite number", lambda v: type(v) in (int, float) and np.isfinite(v)),
+    int: ("an integer", lambda v: type(v) is int),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: v is None or type(v) is str),
+}
+
+
+def _check_flag_types(args: argparse.Namespace) -> None:
+    for flag, kwargs in {**COMMANDS[args.command][2], **_COMMON}.items():
+        kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
+        need, ok = _FLAG_RULES[kind]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not ok(value):
+            raise UsageError(f"{flag} must be {need}, got {value!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config:
             # parse again with the file's values as defaults: explicit flags win
             args = build_parser(_config_defaults(args)).parse_args(argv)
+        _check_flag_types(args)
         args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,7 +54,7 @@ def _entropy_bits(eigenvalues: np.ndarray) -> float:
     return float(-(ev * np.log2(ev)).sum())
 
 
-def entropy_pure(state: np.ndarray, tol: float = NORM_TOL) -> EntropyReport:
+def entropy_pure(state: np.ndarray) -> EntropyReport:
     """Entanglement entropy of a 16-component pure state.
 
     Both single-particle reductions are computed (via the coefficient matrix
@@ -64,13 +64,13 @@ def entropy_pure(state: np.ndarray, tol: float = NORM_TOL) -> EntropyReport:
     if state.shape != (16,):
         raise ValueError("state must have 16 components")
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm!r})")
     n = state.reshape(4, 4)
     ev_a = np.linalg.eigvalsh(n @ n.conj().T)
     ev_b = np.linalg.eigvalsh(n.conj().T @ n)
     e_a, e_b = _entropy_bits(ev_a), _entropy_bits(ev_b)
-    if abs(e_a - e_b) > tol:
+    if abs(e_a - e_b) > NORM_TOL:
         raise ValueError(f"reductions disagree: {e_a} vs {e_b}")
     return EntropyReport(eigenvalues=ev_a, entropy_bits=e_a)
 

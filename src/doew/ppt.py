@@ -51,15 +51,14 @@ def momentum_label_pt_spectrum(rho: np.ndarray) -> np.ndarray:
 
 
 def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,
-                            theta2: float = 0.0, raw: bool = False) -> np.ndarray:
+                            theta2: float = 0.0) -> np.ndarray:
     """Closed-form momentum-label transpose spectrum of a filtered odd mixture.
 
     With c_i = cos^2(theta_i / 2) and S = c1^2 + c2^2, the sixteen eigenvalues
     are pair sums (q_a + q_b) scaled by c_i^2 / S and pair differences
     +/-(q_a - q_b) scaled by c1 c2 / S; nonnegativity of the difference pairs
-    is exactly the four weight equalities.  ``raw=True`` returns the values in
-    the unnormalized convention carrying an overall factor of 16; the default
-    is scaled to match ``momentum_label_pt_spectrum`` of the unit-trace state.
+    is exactly the four weight equalities.  The values match
+    ``momentum_label_pt_spectrum`` of the unit-trace state.
     """
     if weights.parity != "odd":
         raise ValueError("closed-form spectrum applies to odd-parity weights")
@@ -70,11 +69,10 @@ def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,
     diffs = [q(9) - q(13), q(11) - q(15), q(3) - q(5), q(1) - q(7)]
     lam = []
     for v in sums:
-        lam += [16 * v * c1 ** 2 / s, 16 * v * c2 ** 2 / s]
+        lam += [v * c1 ** 2 / s, v * c2 ** 2 / s]
     for v in diffs:
-        lam += [16 * v * c1 * c2 / s, -16 * v * c1 * c2 / s]
-    lam = np.sort(np.array(lam))
-    return lam if raw else lam / 16.0
+        lam += [v * c1 * c2 / s, -v * c1 * c2 / s]
+    return np.sort(np.array(lam))
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class FeasibleRegionReport:
     is_ppt: bool
 
 
-def feasible_region_check(weights: MixtureWeights, tol: float = FR_TOL) -> FeasibleRegionReport:
+def feasible_region_check(weights: MixtureWeights) -> FeasibleRegionReport:
     """Evaluate the weight equalities, the half-sum identity, and the 1/4 bounds."""
     if weights.parity != "odd":
         raise ValueError("feasible-region constraints apply to odd-parity weights")
@@ -101,8 +99,8 @@ def feasible_region_check(weights: MixtureWeights, tol: float = FR_TOL) -> Feasi
     half = sum(q(i) for i in HALF_SUM_INDICES) - 0.5
     equalities.append(("q1+q3+q11+q9=1/2", half))
     inequalities = [(f"q{i}<=1/4", 0.25 - q(i)) for i in range(1, 17)]
-    ok = (all(abs(r) <= tol for _, r in equalities)
-          and all(m >= -tol for _, m in inequalities))
+    ok = (all(abs(r) <= FR_TOL for _, r in equalities)
+          and all(m >= -FR_TOL for _, m in inequalities))
     return FeasibleRegionReport(equalities=equalities, inequalities=inequalities,
                                 is_ppt=ok)
 

@@ -87,8 +87,7 @@ class WignerRotation:
     matrix: np.ndarray
 
 
-def wigner_matrix(cos_half: float, sin_axis: np.ndarray,
-                  tol: float = HALF_ANGLE_NORM_TOL) -> WignerRotation:
+def wigner_matrix(cos_half: float, sin_axis: np.ndarray) -> WignerRotation:
     """Assemble the 2x2 special-unitary rotation from half-angle data.
 
     sin_axis is sin(Omega/2) times the unit rotation axis; together with
@@ -96,7 +95,7 @@ def wigner_matrix(cos_half: float, sin_axis: np.ndarray,
     """
     sin_axis = np.asarray(sin_axis, dtype=float)
     norm2 = cos_half ** 2 + float(sin_axis @ sin_axis)
-    if abs(norm2 - 1.0) > tol:
+    if abs(norm2 - 1.0) > HALF_ANGLE_NORM_TOL:
         raise ValueError(f"half-angle normalization violated ({norm2!r})")
     d = cos_half * np.eye(2, dtype=complex)
     for k in range(3):

@@ -86,7 +86,7 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WitnessCoefficients:
-    """Optimal coefficient matrix with its Lagrange data.
+    """Optimal coefficient matrix with its guaranteed detection value.
 
     A has singular values equal to one on the range of the correlation matrix
     and zero on its kernel; min_value = 1 - Tr sqrt(rho_tilde^t rho_tilde) is
@@ -94,7 +94,6 @@ class WitnessCoefficients:
     """
 
     A: np.ndarray
-    lagrange_Z: np.ndarray
     min_value: float
 
 
@@ -108,24 +107,20 @@ def witness_operator(A: np.ndarray) -> np.ndarray:
     return np.eye(16, dtype=complex) + _realign(_QF.T @ A @ _QF, (0, 2, 1, 3))
 
 
-def kkt_witness(rho: np.ndarray,
-                rank_tol: float = RANK_TOL) -> tuple[WitnessCoefficients, np.ndarray]:
+def kkt_witness(rho: np.ndarray) -> tuple[WitnessCoefficients, np.ndarray]:
     """Optimal witness for a given density matrix, via the correlation-matrix SVD.
 
     The coefficient matrix is -U V^t over the singular directions above
-    rank_tol (the polar sign factor of rho_tilde) and zero on the kernel;
+    RANK_TOL (the polar sign factor of rho_tilde) and zero on the kernel;
     kernel directions contribute nothing to Tr(W rho) and leaving them at
     zero keeps sigma_max(A) <= 1.  A correlation matrix that vanishes
     entirely yields the non-detecting W = I with min_value 1.
     """
     rt = correlation_matrix(rho)
     u, sv, vt = np.linalg.svd(rt)
-    keep = sv > rank_tol
+    keep = sv > RANK_TOL
     A = -(u[:, keep] @ vt[keep, :]) if keep.any() else np.zeros((16, 16))
-    z = 0.5 * (vt.T * sv) @ vt
-    min_value = 1.0 - float(sv.sum())
-    coeffs = WitnessCoefficients(A=A, lagrange_Z=z, min_value=min_value)
-    return coeffs, witness_operator(A)
+    return WitnessCoefficients(A=A, min_value=1.0 - float(sv.sum())), witness_operator(A)
 
 
 def witness_min_value(rho: np.ndarray) -> np.ndarray:
@@ -158,15 +153,14 @@ def b_coefficients(weights: MixtureWeights) -> np.ndarray:
     ])
 
 
-def _pair_signs(b_sum: float, b_diff: float, group: str,
-                tol: float) -> tuple[float, float]:
+def _pair_signs(b_sum: float, b_diff: float, group: str) -> tuple[float, float]:
     """Signs of a coupled 2x2 block's two eigenvalues, with tie detection.
 
     A block [[x, y], [y, x]] has eigenvalues proportional to b_sum and b_diff.
     If exactly one of them vanishes the optimal coefficients are no longer
     integer-valued and the closed-form table does not apply.
     """
-    sum_zero, diff_zero = abs(b_sum) <= tol, abs(b_diff) <= tol
+    sum_zero, diff_zero = abs(b_sum) <= TIE_TOL, abs(b_diff) <= TIE_TOL
     if sum_zero and diff_zero:
         return 0.0, 0.0
     if sum_zero or diff_zero:
@@ -175,7 +169,7 @@ def _pair_signs(b_sum: float, b_diff: float, group: str,
     return float(np.sign(b_sum)), float(np.sign(b_diff))
 
 
-def coefficient_table(weights: MixtureWeights, tol: float = TIE_TOL) -> np.ndarray:
+def coefficient_table(weights: MixtureWeights) -> np.ndarray:
     """Closed-form optimal coefficient matrix for a rest-frame odd mixture.
 
     Agrees with ``kkt_witness`` on the range of the correlation matrix (the
@@ -187,29 +181,24 @@ def coefficient_table(weights: MixtureWeights, tol: float = TIE_TOL) -> np.ndarr
     b1, b2, b3, b4, b5, b6, b7, b8 = b_coefficients(weights)
     A = np.zeros((16, 16))
 
-    # diagonal-unit block: pairs (Q13,Q14) and (Q15,Q16) couple through b1, b2
-    sp, sm = _pair_signs(b1 + b2, b1 - b2, "b1/b2", tol)
-    for i, j in ((12, 13), (14, 15)):
-        A[i, i] = A[j, j] = -(sp + sm) / 2
-        A[i, j] = A[j, i] = -(sp - sm) / 2
-
     # decoupled single entries: symmetric and antisymmetric (1,2), (3,4)
-    if abs(b3 + b4) > tol:
+    if abs(b3 + b4) > TIE_TOL:
         A[0, 0] = A[5, 5] = -np.sign(b3 + b4)     # Q1, Q6
-    if abs(b3 - b4) > tol:
+    if abs(b3 - b4) > TIE_TOL:
         A[6, 6] = A[11, 11] = np.sign(b3 - b4)    # Q7, Q12
 
-    # coupled pairs: symmetric (1,3)/(2,4) and the mirroring antisymmetric pair
-    sp, sm = _pair_signs(b5 + b6, b5 - b6, "b5/b6", tol)
-    for i, j, sign in ((1, 4, -1.0), (9, 8, +1.0)):   # (Q2,Q5) and (Q10,Q9)
-        A[i, i] = A[j, j] = sign * (sp + sm) / 2
-        A[i, j] = A[j, i] = sign * (sp - sm) / 2
-
-    # coupled pairs: symmetric (1,4)/(2,3) and the mirroring antisymmetric pair
-    sp, sm = _pair_signs(b7 + b8, b7 - b8, "b7/b8", tol)
-    for i, j, sign in ((2, 3, -1.0), (7, 10, +1.0)):  # (Q3,Q4) and (Q8,Q11)
-        A[i, i] = A[j, j] = sign * (sp + sm) / 2
-        A[i, j] = A[j, i] = sign * (sp - sm) / 2
+    # coupled 2x2 blocks (i, j, sign), checked for ties in this order:
+    # b1/b2 couples the diagonal units (Q13,Q14) and (Q15,Q16); b5/b6 the
+    # symmetric (1,3)/(2,4) pair (Q2,Q5) and its antisymmetric mirror (Q10,Q9);
+    # b7/b8 the symmetric (1,4)/(2,3) pair (Q3,Q4) and its mirror (Q8,Q11)
+    for b_sum, b_diff, group, blocks in (
+            (b1 + b2, b1 - b2, "b1/b2", ((12, 13, -1.0), (14, 15, -1.0))),
+            (b5 + b6, b5 - b6, "b5/b6", ((1, 4, -1.0), (9, 8, +1.0))),
+            (b7 + b8, b7 - b8, "b7/b8", ((2, 3, -1.0), (7, 10, +1.0)))):
+        sp, sm = _pair_signs(b_sum, b_diff, group)
+        for i, j, sign in blocks:
+            A[i, i] = A[j, j] = sign * (sp + sm) / 2
+            A[i, j] = A[j, i] = sign * (sp - sm) / 2
     return A
 
 
@@ -222,12 +211,12 @@ def detect(W: np.ndarray, rho: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", W, rho).real)
 
 
-def random_product_states(samples: int, seed: int, dim: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Haar-random pure state pairs, shapes (samples, dim) each."""
+def random_product_states(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Haar-random pure single-particle state pairs, shapes (samples, 4) each."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(2):
-        z = rng.normal(size=(samples, dim)) + 1j * rng.normal(size=(samples, dim))
+        z = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
         out.append(z / np.linalg.norm(z, axis=1, keepdims=True))
     return out[0], out[1]
 

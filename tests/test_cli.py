@@ -258,14 +258,92 @@ def test_sweep_rejects_non_finite_weights(tmp_path, capsys, bad):
     assert out == "" and err.count("\n") == 1 and "finite" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("flag", ["start", "stop", "theta1", "theta2",
-                                  "delta1", "delta2", "chi1", "chi2"])
-def test_sweep_rejects_non_finite_flags(capsys, flag, value):
-    flags = {"parameter": "q1", "start": "0", "stop": "0.5", "steps": "3", flag: value}
-    code, out, err = run(capsys, "sweep", *[f"--{k}={v}" for k, v in flags.items()])
+def base_flags(tmp_path, command):
+    """The smallest valid flag set of each command."""
+    return {"state": {"phi": "1"}, "boost": {"alpha": "1"},
+            "sweep": {"parameter": "q1", "start": "0", "stop": "0.5", "steps": "3"},
+            }.get(command) or {"weights": write_weights(tmp_path, ACCEPTANCE)}
+
+
+def expect_usage_error(capsys, argv, mention):
+    """Exit 2 with nothing on stdout and one stderr line naming the culprit."""
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert out == "" and err.count("\n") == 1 and f"--{flag}" in err
+    assert out == "" and err.count("\n") == 1 and mention in err
+
+
+FLOAT_FLAGS = [("sweep", f) for f in ("start", "stop", "theta1", "theta2",
+                                      "delta1", "delta2", "chi1", "chi2")]
+FLOAT_FLAGS += [("state", "theta"), ("boost", "alpha"), ("boost", "delta1"),
+                ("boost", "delta2")]
+FLOAT_FLAGS += [(c, f) for c in ("rho", "ppt", "witness", "measure")
+                for f in ("theta", "theta1", "theta2")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(c, f, id=f if c == "sweep" else f"{c}-{f}") for c, f in FLOAT_FLAGS])
+def test_sweep_rejects_non_finite_flags(tmp_path, capsys, command, flag, value):
+    # every command's float flags; the sweep's keep their original bare ids
+    flags = {**base_flags(tmp_path, command), flag: value}
+    expect_usage_error(capsys, [command, *[f"--{k}={v}" for k, v in flags.items()]],
+                       f"--{flag}")
+
+
+@pytest.mark.parametrize("command, config, flag", [
+    ("rho", {"theta1": [1]}, "--theta1"),
+    ("rho", {"theta2": True}, "--theta2"),
+    ("witness", {"floor_samples": [5]}, "--floor-samples"),
+    ("witness", {"floor_samples": 2.5}, "--floor-samples"),
+    ("witness", {"seed": [1, 2]}, "--seed"),
+    ("rho", {"full": "no"}, "--full"),
+    ("rho", {"out": [1]}, "--out"),
+    ("boost", {"e": 5}, "--e"),
+])
+def test_config_values_must_match_flag_types(tmp_path, capsys, command, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    flags = {**base_flags(tmp_path, command), "config": str(cfg)}
+    expect_usage_error(capsys, [command, *[f"--{k}={v}" for k, v in flags.items()]], flag)
+
+
+@pytest.mark.parametrize("flag, value", [("e", "0,0,0"), ("e", "nan,0,1"),
+                                         ("p1", "0,0,0"), ("p2", "inf,0,0")])
+def test_boost_rejects_degenerate_vectors(capsys, flag, value):
+    expect_usage_error(capsys, ["boost", "--alpha", "1", f"--{flag}={value}"], f"{value!r}")
+
+
+def test_boost_normalizes_vectors(capsys):
+    _, unit, _ = run(capsys, "boost", "--alpha", "1", "--e", "0,0,1", "--p1", "0,0.6,0.8")
+    code, scaled, _ = run(capsys, "boost", "--alpha", "1", "--e", "0,0,3", "--p1", "0,3,4")
+    assert code == 0
+    assert scaled == unit
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity extensions."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, complex_field, shape", [
+    (["state", "--phi", "2"], lambda d: d["amplitudes"], (16, 2)),
+    (["rho", "--full", "--theta1", "0.4"], lambda d: d["matrix"], (16, 16, 2)),
+    (["boost", "--alpha", "1.2"], lambda d: d["particles"][1]["d_matrix"], (2, 2, 2)),
+    (["ppt", "--theta2", "1.1"], None, None),
+    (["witness", "--floor-samples", "100"], None, None),
+    (["measure", "--theta1", "0.5"], None, None),
+], ids=["state", "rho", "boost", "ppt", "witness", "measure"])
+def test_json_output_is_strict(tmp_path, capsys, argv, complex_field, shape):
+    if argv[0] not in ("state", "boost"):
+        argv = argv + ["--weights", write_weights(tmp_path, ACCEPTANCE)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["command"] == argv[0]
+    if complex_field:
+        assert np.array(complex_field(doc)).shape == shape
 
 
 def test_witness_rejects_negative_floor_samples(tmp_path, capsys):

@@ -1,50 +1,15 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_density, random_hermitian, random_psd
-from doew import (build_mixture, correlation_matrix, hermitian_eigensystem,
-                  hs_norm, partial_trace, partial_transpose, phi_state,
-                  psd_sqrt, tensor_product, trace_norm_sym, MixtureWeights)
-from doew.linalg import allclose_matrix
+from conftest import random_density, random_hermitian
+from doew import (build_mixture, correlation_matrix, hs_norm, partial_trace,
+                  partial_transpose, phi_state, trace_norm_sym, MixtureWeights)
 
 
 def unit_matrix(i, j, dim=2):
     m = np.zeros((dim, dim), dtype=complex)
     m[i, j] = 1.0
     return m
-
-
-def test_tensor_product_identity():
-    assert_allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_allclose_matrix_uses_explicit_tolerance():
-    a = np.eye(3)
-    assert allclose_matrix(a, a + 1e-12)
-    assert not allclose_matrix(a, a + 1e-12, tol=1e-13)
-
-
-def test_tensor_product_unit_placement():
-    # kron(E_ab, E_cd) has its single 1 at row 2a+c, col 2b+d
-    for a, b, c, d in ((0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 0, 1)):
-        m = tensor_product(unit_matrix(a, b), unit_matrix(c, d))
-        expected = np.zeros((4, 4))
-        expected[2 * a + c, 2 * b + d] = 1.0
-        assert_allclose(m, expected)
-
-
-def test_tensor_product_mixed_product_rule(rng):
-    a, b, c, d = (rng.normal(size=(2, 2)) for _ in range(4))
-    assert_allclose(tensor_product(a, b) @ tensor_product(c, d),
-                    tensor_product(a @ c, b @ d), atol=1e-12)
-
-
-def test_sigma_z_tensor_eigenvector():
-    sz = np.diag([1.0, -1.0])
-    v = np.zeros(4)
-    v[1] = 1.0  # |01>
-    assert_allclose(tensor_product(sz, sz) @ v, -v)
 
 
 def test_partial_transpose_involution_and_trace(rng):
@@ -59,8 +24,8 @@ def test_partial_transpose_involution_and_trace(rng):
 
 def test_partial_transpose_product_state(rng):
     ra, rb = random_density(rng, 4), random_density(rng, 4)
-    got = partial_transpose(tensor_product(ra, rb), (4, 4), "A")
-    assert_allclose(got, tensor_product(ra.T, rb), atol=1e-14)
+    got = partial_transpose(np.kron(ra, rb), (4, 4), "A")
+    assert_allclose(got, np.kron(ra.T, rb), atol=1e-14)
 
 
 def test_partial_transpose_phi1_negative_eigenvalue():
@@ -73,7 +38,7 @@ def test_partial_transpose_phi1_negative_eigenvalue():
 def test_partial_trace_product_recovery(rng):
     for _ in range(100):
         ra, rb = random_density(rng, 4), random_density(rng, 4)
-        rho = tensor_product(ra, rb)
+        rho = np.kron(ra, rb)
         assert_allclose(partial_trace(rho, (4, 4), "B"), ra, atol=1e-12)
         assert_allclose(partial_trace(rho, (4, 4), "A"), rb, atol=1e-12)
 
@@ -88,56 +53,6 @@ def test_partial_trace_phi1_maximally_mixed():
     v = phi_state(1)
     red = partial_trace(np.outer(v, v.conj()), (4, 4), "B")
     assert_allclose(red, np.eye(4) / 4, atol=1e-14)
-
-
-def test_eigensystem_sorted_and_reconstructs(rng):
-    w, _ = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]))
-    assert_allclose(w, [1.0, 2.0, 3.0])
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    w, _ = hermitian_eigensystem(sx)
-    assert_allclose(w, [-1.0, 1.0])
-    for _ in range(10):
-        m = random_hermitian(rng, 16)
-        w, v = hermitian_eigensystem(m)
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-10
-
-
-def test_eigensystem_phi1_reduction():
-    v = phi_state(1)
-    red = partial_trace(np.outer(v, v.conj()), (4, 4), "B")
-    w, _ = hermitian_eigensystem(red)
-    assert_allclose(w, [0.25] * 4, atol=1e-14)
-
-
-def test_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_psd_sqrt_basic():
-    assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-    assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-
-def test_psd_sqrt_reconstructs(rng):
-    for _ in range(100):
-        m = random_psd(rng, int(rng.integers(2, 17)))
-        r = psd_sqrt(m)
-        assert np.max(np.abs(r @ r - m)) < 1e-9
-        assert np.linalg.eigvalsh(r).min() >= -1e-12
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.diag([1.0, -0.5]))
-
-
-def test_psd_sqrt_matches_trace_norm_for_correlation_matrix():
-    rho = build_mixture(MixtureWeights.odd({1: 1.0}))
-    rt = correlation_matrix(rho)
-    root = psd_sqrt(rt.T @ rt)
-    assert abs(np.trace(root).real - 4.0) < 1e-10
-    assert abs(np.trace(root).real - trace_norm_sym(rt)) < 1e-10
 
 
 def test_hs_norm():
@@ -155,7 +70,8 @@ def test_trace_norm_sym():
 def test_trace_norm_equals_sqrt_trace(rng):
     for _ in range(100):
         m = rng.normal(size=(6, 6))
-        assert abs(trace_norm_sym(m) - np.trace(psd_sqrt(m.T @ m)).real) < 1e-9
+        sqrt_trace = np.sqrt(np.linalg.eigvalsh(m.T @ m).clip(0)).sum()
+        assert abs(trace_norm_sym(m) - sqrt_trace) < 1e-9
 
 
 def test_trace_norm_of_pure_state_correlation():

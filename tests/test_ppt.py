@@ -28,11 +28,6 @@ def test_closed_form_matches_momentum_label_spectrum(rng):
         numeric = momentum_label_pt_spectrum(rho)
         closed = closed_form_momentum_pt(w, t1, t2)
         assert np.max(np.abs(numeric - closed)) < 1e-10
-        # the raw convention differs from the unit-trace spectrum by the
-        # single global factor 16
-        raw = closed_form_momentum_pt(w, t1, t2, raw=True)
-        scale = np.max(np.abs(numeric)) / np.max(np.abs(raw))
-        assert abs(scale - 1 / 16) < 1e-12
 
 
 def test_closed_form_difference_pair(rng):
