@@ -11,7 +11,7 @@ import numpy as np
 
 from doew import (MixtureWeights, b_coefficients, build_mixture,
                   coefficient_table, correlation_matrix, detect, kkt_witness,
-                  phi_state, separability_floor_check, trace_norm_sym)
+                  phi_state, separability_floor_check)
 
 np.set_printoptions(precision=3, suppress=True, linewidth=140)
 
@@ -21,7 +21,7 @@ rho = build_mixture(weights)
 print("Correlation matrix of the mixture (nonzero blocks only):")
 rt = correlation_matrix(rho)
 print(f"  nonzero entries: {int((np.abs(rt) > 1e-12).sum())} of 256")
-print(f"  trace norm (sum of singular values): {trace_norm_sym(rt):.6f}")
+print(f"  trace norm (sum of singular values): {np.linalg.svd(rt, compute_uv=False).sum():.6f}")
 
 coeffs, w = kkt_witness(rho)
 print(f"\nSVD construction: min Tr(W rho) = 1 - trace norm = {coeffs.min_value:+.6f}")

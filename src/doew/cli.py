@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -40,6 +41,10 @@ DEFAULT_SEED = 2024
 
 #: grid points evaluated per stacked pass; bounds the memory of the stacks
 SWEEP_BLOCK = 16
+
+#: a witness minimum below -VERDICT_TOL detects entanglement; closer to zero
+#: it is rounding of a state on the separable boundary
+VERDICT_TOL = 1e-10
 
 CSV_COLUMNS = ("parameter", "value", "witness_value_closed_form",
                "witness_value_numeric", "entropy_bits", "min_ppt_eig",
@@ -154,7 +159,7 @@ def cmd_rho(args) -> None:
 
 def cmd_boost(args) -> None:
     e_hat = _parse_vec(args.e)
-    particles, angles = [], []
+    particles = []
     for delta, p_text in ((args.delta1, args.p1), (args.delta2, args.p2)):
         p_hat = _parse_vec(p_text)
         cos_half, sin_axis = wigner_half_angle(args.alpha, e_hat, delta, p_hat)
@@ -171,13 +176,12 @@ def cmd_boost(args) -> None:
             "d_matrix": rot.matrix,
             "oracle_residual": residual,
         })
-        angles.append(rot.omega)
     _emit({
         "command": "boost",
         "alpha": args.alpha,
         "e_hat": e_hat,
         "particles": particles,
-        "effective_angles": angles,
+        "effective_angles": [p["omega"] for p in particles],
     }, args.out)
 
 
@@ -195,14 +199,9 @@ def cmd_ppt(args) -> None:
         "min_eigenvalue_B": spec_b[0],
     }
     if weights.parity == "odd":
-        report = feasible_region_check(weights)
         mom = momentum_label_pt_spectrum(rho)
         closed = closed_form_momentum_pt(weights, args.theta1, args.theta2)
-        doc["feasible_region"] = {
-            "equalities": report.equalities,
-            "inequalities": report.inequalities,
-            "is_ppt": report.is_ppt,
-        }
+        doc["feasible_region"] = asdict(feasible_region_check(weights))
         doc["momentum_label_spectrum"] = mom
         doc["closed_form_spectrum"] = closed
         doc["closed_form_residual"] = np.max(np.abs(mom - closed))
@@ -222,7 +221,7 @@ def cmd_witness(args) -> None:
         "W_spectrum": np.linalg.eigvalsh(w),
         "min_value": coeffs.min_value,
         "detection": detect(w, rho),
-        "verdict": "entangled" if coeffs.min_value < -1e-10 else "not detected",
+        "verdict": "entangled" if coeffs.min_value < -VERDICT_TOL else "not detected",
     }
     if weights.parity == "odd":
         doc["closed_form_min_value"] = relativistic_witness_value(
@@ -256,13 +255,11 @@ def cmd_measure(args) -> None:
             effective_boost_pure(phi_state(1, args.theta), args.theta1, args.theta2)
         ).entropy_bits,
     }
-    conc = generalized_concurrence(args.theta1, args.theta2)
-    doc["concurrence"] = {"chi": conc.chi, "d": conc.d,
-                          "lambda1": conc.lambda1, "lambda2": conc.lambda2}
+    doc["concurrence"] = asdict(generalized_concurrence(args.theta1, args.theta2))
     if weights.parity == "odd":
         doc["witness_value_closed_form"] = relativistic_witness_value(
             weights, args.theta1, args.theta2)
-        doc["witness_value_numeric"] = kkt_witness(rho)[0].min_value
+        doc["witness_value_numeric"] = float(witness_min_value(rho))
     _emit(doc, args.out)
 
 
@@ -458,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -2,8 +2,8 @@
 
 Pure functions over numpy arrays.  These routines double as the brute-force
 oracles that every closed-form result elsewhere in the package is checked
-against, so they stay deliberately simple: eigendecompositions and SVDs on
-dense matrices of dimension at most 16.
+against, so they stay deliberately simple: reshapes, transposes and sums
+over dense matrices of dimension at most 16.
 """
 
 from __future__ import annotations
@@ -19,18 +19,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
-def hermitian_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m (or of a stack) from its conjugate transpose."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-
-
 def require_hermitian(m: np.ndarray) -> np.ndarray:
     """m as a complex array, checked Hermitian matrix by matrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = hermitian_deviation(m)
+    dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
     if dev > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {HERMITIAN_TOL:.0e})")
     return m
@@ -75,8 +69,3 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int] = (4, 4),
 def hs_norm(m: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(Tr(m^dag m)), per matrix of a stack."""
     return np.linalg.norm(np.asarray(m), axis=(-2, -1))
-
-
-def trace_norm_sym(m: np.ndarray) -> float:
-    """Sum of singular values of a real or complex square matrix."""
-    return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())

@@ -22,6 +22,9 @@ NORM_TOL = 1e-10
 # reduced-state eigenvalues below this are treated as exact zeros (0 log 0 = 0)
 EIGENVALUE_FLOOR = 1e-14
 
+# states closer than this in Hilbert-Schmidt norm coincide: no witness direction
+COINCIDENCE_TOL = 1e-12
+
 
 def kappa(theta1: float, theta2: float) -> float:
     """Angle factor cos^2(t1/2) cos^2(t2/2) / (cos^4(t1/2) + cos^4(t2/2)).
@@ -107,7 +110,7 @@ def doew_from_edge(rho_ent: np.ndarray, rho_edge: np.ndarray) -> tuple[np.ndarra
     rho_edge = require_hermitian(rho_edge)
     diff = rho_edge - rho_ent
     norm = hs_norm(diff)
-    if norm < 1e-12:
+    if norm < COINCIDENCE_TOL:
         raise ValueError("edge and entangled states coincide")
     overlap = float(np.einsum("ij,ji->", rho_edge, diff).real)
     w = (diff - overlap * np.eye(rho_edge.shape[0])) / norm

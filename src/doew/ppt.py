@@ -26,6 +26,8 @@ EQUALITY_PAIRS = ((1, 7), (3, 5), (9, 13), (11, 15))
 #: independent representatives whose weights sum to 1/2
 HALF_SUM_INDICES = (1, 3, 11, 9)
 
+_PAIR_FIRST, _PAIR_SECOND = np.array(EQUALITY_PAIRS).T - 1   # 0-based members
+
 
 def _pt_spectrum(rho: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarray:
     rho = require_hermitian(rho)
@@ -62,17 +64,12 @@ def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,
     """
     if weights.parity != "odd":
         raise ValueError("closed-form spectrum applies to odd-parity weights")
-    q = weights.weight
     k1, k2, s = sector_weights(theta1, theta2)
     c1, c2 = k1 ** 2, k2 ** 2
-    sums = [q(9) + q(13), q(11) + q(15), q(3) + q(5), q(1) + q(7)]
-    diffs = [q(9) - q(13), q(11) - q(15), q(3) - q(5), q(1) - q(7)]
-    lam = []
-    for v in sums:
-        lam += [v * c1 ** 2 / s, v * c2 ** 2 / s]
-    for v in diffs:
-        lam += [v * c1 * c2 / s, -v * c1 * c2 / s]
-    return np.sort(np.array(lam))
+    q = weights.q
+    sums, diffs = q[_PAIR_FIRST] + q[_PAIR_SECOND], q[_PAIR_FIRST] - q[_PAIR_SECOND]
+    return np.sort(np.concatenate([sums * c1 ** 2 / s, sums * c2 ** 2 / s,
+                                   diffs * c1 * c2 / s, -diffs * c1 * c2 / s]))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,12 @@ from .linalg import dagger
 UNIT_VECTOR_TOL = 1e-12
 HALF_ANGLE_NORM_TOL = 1e-10
 
+# a rotation axis (e x p, or sin(Omega/2) n) shorter than this: the identity
+AXIS_TOL = 1e-15
+# the 4x4 oracle's on-shell and little-group checks, and its half-turn cutoff
+LORENTZ_TOL = 1e-9
+HALF_TURN_TOL = 1e-8
+
 # both momentum sectors annihilated (angles within ~1e-8 of pi) is a domain error
 SECTOR_WEIGHT_FLOOR = 1e-30
 
@@ -59,23 +65,22 @@ def wigner_half_angle(alpha: float, e_hat: np.ndarray,
     rapidity (cosh delta = E/m) along unit vector p_hat.  The rotation axis is
     along e_hat x p_hat.  The two outputs satisfy cos^2 + |sin*n|^2 = 1.
 
-    A vanishing boost, a particle at rest, or collinear directions give the
+    With t = tanh(alpha/2) tanh(delta/2), x = 1 + t e.p and c = e x p they are
+    (x, t c) / sqrt(x^2 + t^2 |c|^2), bounded and exact at any rapidity.  A
+    vanishing boost, a particle at rest, or collinear directions give the
     identity rotation exactly.
     """
-    if alpha < 0 or delta < 0:
+    if not (alpha >= 0 and delta >= 0):
         raise ValueError("rapidities must be nonnegative")
     e_hat = _check_unit(e_hat, "e_hat")
     p_hat = _check_unit(p_hat, "p_hat")
     cross = np.cross(e_hat, p_hat)
-    if alpha == 0.0 or delta == 0.0 or np.linalg.norm(cross) < 1e-15:
+    if alpha == 0.0 or delta == 0.0 or np.linalg.norm(cross) < AXIS_TOL:
         return 1.0, np.zeros(3)
-    c = float(e_hat @ p_hat)
-    den = np.sqrt(0.5 + 0.5 * np.cosh(alpha) * np.cosh(delta)
-                  + 0.5 * np.sinh(alpha) * np.sinh(delta) * c)
-    cos_half = (np.cosh(alpha / 2) * np.cosh(delta / 2)
-                + np.sinh(alpha / 2) * np.sinh(delta / 2) * c) / den
-    sin_axis = np.sinh(alpha / 2) * np.sinh(delta / 2) * cross / den
-    return float(cos_half), sin_axis
+    t = np.tanh(alpha / 2) * np.tanh(delta / 2)
+    x = 1.0 + t * float(e_hat @ p_hat)
+    r = np.sqrt(x * x + t * t * float(cross @ cross))
+    return float(x / r), t * cross / r
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def wigner_matrix(cos_half: float, sin_axis: np.ndarray) -> WignerRotation:
     for k in range(3):
         d += 1j * sin_axis[k] * _SIGMA[k]
     s = np.linalg.norm(sin_axis)
-    if s < 1e-15:
+    if s < AXIS_TOL:
         # identity (or 2 pi, if cos_half = -1) rotation: axis is arbitrary
         omega, axis = (0.0 if cos_half > 0 else 2.0 * np.pi), np.array([0.0, 0.0, 1.0])
     else:
@@ -109,16 +114,19 @@ def wigner_matrix(cos_half: float, sin_axis: np.ndarray) -> WignerRotation:
     return WignerRotation(omega=float(omega), axis=axis, matrix=d)
 
 
+def _pure_boost(e0: float, p: np.ndarray) -> np.ndarray:
+    # the pure boost taking the unit-mass rest vector (1, 0, 0, 0) to (e0, p)
+    L = np.empty((4, 4))
+    L[0, 0] = e0
+    L[0, 1:] = L[1:, 0] = p
+    L[1:, 1:] = np.eye(3) + np.outer(p, p) / (1.0 + e0)
+    return L
+
+
 def boost_matrix(rapidity: float, direction: np.ndarray) -> np.ndarray:
     """Active 4x4 pure boost: maps (m, 0) to m (cosh r, sinh r * direction)."""
     e = _check_unit(direction, "direction")
-    L = np.eye(4)
-    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-    L[0, 0] = ch
-    L[0, 1:] = sh * e
-    L[1:, 0] = sh * e
-    L[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(e, e)
-    return L
+    return _pure_boost(np.cosh(rapidity), np.sinh(rapidity) * e)
 
 
 def standard_boost_to(p4: np.ndarray) -> np.ndarray:
@@ -128,14 +136,9 @@ def standard_boost_to(p4: np.ndarray) -> np.ndarray:
     """
     p4 = np.asarray(p4, dtype=float)
     e0, p = p4[0], p4[1:]
-    if abs(e0 ** 2 - p @ p - 1.0) > 1e-9:
+    if not abs(e0 ** 2 - p @ p - 1.0) <= LORENTZ_TOL:
         raise ValueError("expected an on-shell unit-mass four-vector")
-    L = np.eye(4)
-    L[0, 0] = e0
-    L[0, 1:] = p
-    L[1:, 0] = p
-    L[1:, 1:] = np.eye(3) + np.outer(p, p) / (1.0 + e0)
-    return L
+    return _pure_boost(e0, p)
 
 
 def wigner_rotation_oracle(alpha: float, e_hat: np.ndarray,
@@ -144,17 +147,21 @@ def wigner_rotation_oracle(alpha: float, e_hat: np.ndarray,
 
     Forms W = L^{-1}(Lambda p) Lambda L(p), checks it is a spatial rotation,
     and converts its 3x3 block to half-angle data.  Independent of the closed
-    form in ``wigner_half_angle``.
+    form in ``wigner_half_angle``.  Overflowing rapidities are a domain error.
     """
-    Lam = boost_matrix(alpha, e_hat)
-    Lp = boost_matrix(delta, p_hat)
-    q4 = Lam @ Lp @ np.array([1.0, 0.0, 0.0, 0.0])
-    W = np.linalg.inv(standard_boost_to(q4)) @ Lam @ Lp
-    if not np.allclose(W @ np.array([1.0, 0, 0, 0]), [1.0, 0, 0, 0], atol=1e-9):
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            Lam = boost_matrix(alpha, e_hat)
+            Lp = boost_matrix(delta, p_hat)
+            q4 = Lam @ Lp @ np.array([1.0, 0.0, 0.0, 0.0])
+            W = np.linalg.inv(standard_boost_to(q4)) @ Lam @ Lp
+    except FloatingPointError as exc:
+        raise ValueError(f"Lorentz matrices out of range at these rapidities ({exc})") from exc
+    if not np.allclose(W @ np.array([1.0, 0, 0, 0]), [1.0, 0, 0, 0], atol=LORENTZ_TOL):
         raise ValueError("composition did not land in the little group")
     R = W[1:, 1:]
     w = 0.5 * np.sqrt(max(0.0, 1.0 + np.trace(R)))
-    if w < 1e-8:
+    if w < HALF_TURN_TOL:
         raise ValueError("half-turn rotation: axis extraction is degenerate")
     # quaternion vector part of R; the spin-1/2 convention used throughout is
     # D = w I + i sigma.v, which corresponds to v = -(quaternion vector part)

@@ -28,21 +28,17 @@ WEIGHT_SUM_TOL = 1e-12
 
 _PAIRS = ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3))
 
+# row k-1 is psi_k: (|p1,+> +/- |p2,->) / sqrt(2) for k = 1, 2 and
+# (|p2,+> +/- |p1,->) / sqrt(2) for k = 3, 4
+_BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                  [0, 1, 1, 0], [0, -1, 1, 0]], dtype=complex) / np.sqrt(2.0)
+
 
 def one_particle_bell(index: int) -> np.ndarray:
     """One of the four maximally entangled momentum-spin vectors (4 components)."""
-    table = {
-        1: ((0, 1), (3, 1)),
-        2: ((0, 1), (3, -1)),
-        3: ((2, 1), (1, 1)),
-        4: ((2, 1), (1, -1)),
-    }
-    if index not in table:
+    if index not in (1, 2, 3, 4):
         raise ValueError(f"bell index must be 1..4, got {index}")
-    v = np.zeros(4, dtype=complex)
-    for pos, sign in table[index]:
-        v[pos] = sign / np.sqrt(2.0)
-    return v
+    return _BELL[index - 1].copy()
 
 
 def two_particle_bell(kind: str, pair: tuple[int, int]) -> np.ndarray:

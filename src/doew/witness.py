@@ -56,9 +56,8 @@ def operator_basis() -> np.ndarray:
     return np.stack(basis)
 
 
-_BASIS = operator_basis()
 # row i is Q_i flattened, so each basis change is a single 16x16 product
-_QF = _BASIS.reshape(16, 16)
+_QF = operator_basis().reshape(16, 16)
 
 
 def _realign(m: np.ndarray, axes: tuple[int, int, int, int]) -> np.ndarray:
@@ -138,9 +137,7 @@ def b_coefficients(weights: MixtureWeights) -> np.ndarray:
     """
     if weights.parity != "odd":
         raise ValueError("b coefficients are defined for odd-parity weights")
-    q = weights.weight
-    q1, q3, q5, q7 = q(1), q(3), q(5), q(7)
-    q9, q11, q13, q15 = q(9), q(11), q(13), q(15)
+    q1, q3, q5, q7, q9, q11, q13, q15 = weights.q[0::2]
     return np.array([
         q1 + q3 + q5 + q7,
         q9 + q11 + q13 + q15,
@@ -221,6 +218,11 @@ def random_product_states(samples: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return out[0], out[1]
 
 
+def _expectations(states: np.ndarray) -> np.ndarray:
+    """<s|Q_q|s> for each row s of an (n, 4) stack: flattened s* s^t times QF^t."""
+    return ((states.conj()[:, :, None] * states[:, None, :]).reshape(-1, 16) @ _QF.T).real
+
+
 def separability_floor_check(A: np.ndarray, samples: int = 100_000, seed: int = 0,
                              optimize_partner: bool = True) -> float:
     """Worst sampled value of Tr(W rho_s) over pure product states.
@@ -233,12 +235,8 @@ def separability_floor_check(A: np.ndarray, samples: int = 100_000, seed: int = 
     """
     A = np.asarray(A, dtype=float)
     a, b = random_product_states(samples, seed)
-    pa = np.einsum("qij,nj,ni->nq", _BASIS, a, a.conj(), optimize=True).real
+    v = _expectations(a) @ A
     if optimize_partner:
-        v = pa @ A
-        m = np.einsum("nq,qij->nij", v, _BASIS, optimize=True)
-        worst = float(1.0 + np.linalg.eigvalsh(m)[:, 0].min())
-    else:
-        pb = np.einsum("qij,nj,ni->nq", _BASIS, b, b.conj(), optimize=True).real
-        worst = float(1.0 + np.einsum("nq,qr,nr->n", pa, A, pb, optimize=True).min())
-    return worst
+        # the partner sees sum_q v_q Q_q; its best state gives the lowest eigenvalue
+        return float(1.0 + np.linalg.eigvalsh((v @ _QF).reshape(-1, 4, 4))[:, 0].min())
+    return float(1.0 + (v * _expectations(b)).sum(axis=1).min())

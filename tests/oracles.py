@@ -8,7 +8,7 @@ the filter as a Kronecker product of the single-particle attenuation.
 import numpy as np
 
 from doew import (edge_weights, hs_distance, kkt_witness, operator_basis,
-                  ppt_spectrum, two_particle_bell)
+                  ppt_spectrum, random_product_states, two_particle_bell)
 from doew.states import _PHI_RECIPE
 
 BELL_ANGLE = np.pi / 4
@@ -39,6 +39,19 @@ def correlation_matrix_einsum(rho: np.ndarray) -> np.ndarray:
 def witness_operator_einsum(A: np.ndarray) -> np.ndarray:
     q = operator_basis()
     return np.eye(16) + np.einsum("ij,iab,jcd->acbd", A, q, q).reshape(16, 16)
+
+
+def separability_floor_einsum(A: np.ndarray, samples: int, seed: int,
+                              optimize_partner: bool) -> float:
+    """``separability_floor_check`` as einsum contractions with the basis."""
+    q = operator_basis()
+    a, b = random_product_states(samples, seed)
+    pa = np.einsum("qij,nj,ni->nq", q, a, a.conj(), optimize=True).real
+    if optimize_partner:
+        m = np.einsum("nq,qij->nij", pa @ A, q, optimize=True)
+        return float(1.0 + np.linalg.eigvalsh(m)[:, 0].min())
+    pb = np.einsum("qij,nj,ni->nq", q, b, b.conj(), optimize=True).real
+    return float(1.0 + np.einsum("nq,qr,nr->n", pa, A, pb, optimize=True).min())
 
 
 def filter_kron(theta1: float, theta2: float) -> np.ndarray:

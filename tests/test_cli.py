@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -370,3 +371,39 @@ def test_config_never_overrides_an_explicit_flag(tmp_path, capsys):
                        "--config", str(cfg), "--theta2", "0.0")
     assert code == 0
     assert json.loads(out)["theta2"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "400"], ["--alpha", "700"], ["--alpha", "800"],
+                                  ["--alpha", "1e300"], ["--alpha", "1", "--delta1", "800"]])
+def test_boost_huge_rapidity_is_a_domain_error(capsys, argv):
+    # the closed form is exact there, but the 4x4 oracle's matrices overflow
+    code, out, err = run(capsys, "boost", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stop", ["800", "1e300"])
+def test_sweep_alpha_saturates_without_warnings(tmp_path, capsys, stop):
+    path = write_weights(tmp_path, ACCEPTANCE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "sweep", "--parameter", "alpha", "--start", "0",
+                             "--stop", stop, "--steps", "9", "--weights", path)
+    assert code == 0 and err == "" and not caught
+    # past alpha of about 40, tanh(alpha / 2) is 1 and every column but the value is fixed
+    saturated = [row[:1] + row[2:] for row in sweep_rows(out)[1:]]
+    assert saturated == [saturated[0]] * 8
+
+
+def test_memory_error_is_a_computation_error(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type float64")
+    monkeypatch.setattr(np, "linspace", refuse)
+    code, out, err = run(capsys, "sweep", "--parameter", "q1", "--start", "0",
+                         "--stop", "0.5", "--steps", "100000000000")
+    assert code == 1
+    assert out == ""
+    assert err == ("computation error: Unable to allocate 745. GiB for an array with "
+                   "shape (100000000000,) and data type float64\n")

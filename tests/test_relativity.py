@@ -8,6 +8,7 @@ from doew import (MixtureWeights, boost_mixture, boost_pure, build_mixture,
                   effective_boost_pure, entropy_pure, phi_state,
                   single_particle_boost_unitary, wigner_half_angle,
                   wigner_matrix, wigner_rotation_oracle)
+from doew.relativity import standard_boost_to
 
 EZ = np.array([0.0, 0.0, 1.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -65,6 +66,29 @@ def test_half_angle_matches_lorentz_oracle(rng):
         oc, ov = wigner_rotation_oracle(alpha, e, delta, p)
         assert abs(c - oc) < 1e-9
         assert np.max(np.abs(v - ov)) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [50.0, 1e6, 1e300])
+def test_half_angle_bounded_at_huge_rapidity(alpha):
+    p_hat = np.array([0.0, np.sin(2.0), np.cos(2.0)])
+    c, v = wigner_half_angle(alpha, EZ, 2.0, p_hat)
+    assert np.isfinite(c) and np.isfinite(v).all()
+    assert abs(c ** 2 + v @ v - 1.0) < 1e-12
+    # tanh(alpha / 2) has saturated to 1: the rotation no longer changes
+    c2, v2 = wigner_half_angle(2 * alpha, EZ, 2.0, p_hat)
+    assert c2 == c and np.array_equal(v2, v)
+
+
+@pytest.mark.parametrize("alpha, delta", [(400.0, 2.0), (700.0, 2.0), (800.0, 2.0),
+                                          (1e300, 2.0), (1.0, 800.0)])
+def test_oracle_rejects_overflowing_rapidities(alpha, delta):
+    with pytest.raises(ValueError, match="out of range"):
+        wigner_rotation_oracle(alpha, EZ, delta, EY)
+
+
+def test_standard_boost_rejects_nan():
+    with pytest.raises(ValueError, match="on-shell"):
+        standard_boost_to(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_wigner_matrix_identity_and_half_turn():

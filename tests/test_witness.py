@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_odd_weights, random_state
+from oracles import separability_floor_einsum
 from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
                   coefficient_table, correlation_matrix, detect, edge_state,
                   effective_boost_mixture, kappa, kkt_witness, operator_basis,
                   partial_transpose, phi_state, random_product_states,
-                  separability_floor_check, trace_norm_sym,
-                  witness_operator)
+                  separability_floor_check, witness_operator)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -63,7 +63,8 @@ def test_correlation_maximally_mixed():
 
 
 def test_correlation_pure_phi1_trace_norm():
-    assert abs(trace_norm_sym(correlation_matrix(phi1_projector())) - 4.0) < 1e-10
+    sv = np.linalg.svd(correlation_matrix(phi1_projector()), compute_uv=False)
+    assert abs(sv.sum() - 4.0) < 1e-10
 
 
 def test_correlation_product_state_rank_one(rng):
@@ -126,7 +127,7 @@ def test_kkt_coefficients_are_polar_signs(rng):
     # A^t A is the identity on the range of rho_tilde
     rt = correlation_matrix(build_mixture(w))
     assert np.max(np.abs(coeffs.A.T @ coeffs.A @ rt.T - rt.T)) < 1e-9
-    assert abs(coeffs.min_value - (1.0 - trace_norm_sym(rt))) < 1e-10
+    assert abs(coeffs.min_value - (1.0 - np.linalg.svd(rt, compute_uv=False).sum())) < 1e-10
 
 
 def test_kkt_min_value_monotone_toward_mixed(rng):
@@ -268,6 +269,21 @@ def test_floor_reproducible():
     one = separability_floor_check(a_tr1, 3000, 11)
     two = separability_floor_check(a_tr1, 3000, 11)
     assert one == two
+
+
+@pytest.mark.parametrize("optimize_partner", [True, False])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_floor_matches_einsum_oracle(optimize_partner, seed):
+    rng = np.random.default_rng(seed)
+    orthogonal, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    witnesses = (kkt_witness(build_mixture(acceptance_mixture()))[0].A,
+                 kkt_witness(build_mixture(random_odd_weights(rng)))[0].A,
+                 -orthogonal)
+    for A in witnesses:
+        got = separability_floor_check(A, samples=3000, seed=seed,
+                                       optimize_partner=optimize_partner)
+        want = separability_floor_einsum(A, 3000, seed, optimize_partner)
+        assert abs(got - want) <= 1e-15
 
 
 def test_random_product_states_shapes():
