@@ -96,10 +96,12 @@ def _parse_vec(text: str) -> np.ndarray:
         raise UsageError(f"expected comma-separated floats, got {text!r}") from exc
     if v.shape != (3,):
         raise UsageError(f"expected three components, got {text!r}")
-    norm = np.linalg.norm(v)
-    if not 0.0 < norm < np.inf:
+    peak = np.max(np.abs(v))
+    if not 0.0 < peak < np.inf:
         raise UsageError(f"expected a finite nonzero vector, got {text!r}")
-    return v / norm
+    # an exact power-of-two rescale to the largest component keeps the norm finite
+    v = np.ldexp(v, -np.frexp(peak)[1])
+    return v / np.linalg.norm(v)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -265,18 +267,19 @@ def cmd_measure(args) -> None:
 
 # --------------------------------------------------------------------- sweep
 
-def fr_companion_weights(q1: float) -> MixtureWeights:
+def fr_companion_weights(q1) -> MixtureWeights:
     """Feasible-region family with q1 = q7 swept and the residual spread evenly."""
-    if not 0.0 <= q1 <= 0.5:
+    q1 = np.asarray(q1, dtype=float)
+    if not np.all((0.0 <= q1) & (q1 <= 0.5)):
         raise UsageError("q1 must lie in [0, 0.5]")
-    rest = (1.0 - 2.0 * q1) / 6.0
-    mapping = {1: q1, 7: q1}
-    mapping.update({i: rest for i in (3, 5, 9, 11, 13, 15)})
-    return MixtureWeights.odd(mapping)
+    q = np.zeros(q1.shape + (16,))
+    q[..., [0, 6]] = q1[..., None]
+    q[..., [2, 4, 8, 10, 12, 14]] = ((1.0 - 2.0 * q1) / 6.0)[..., None]
+    return MixtureWeights(q, "odd")
 
 
-def _sweep_inputs(args) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
-    """Validated grid with the weights and filter angles of every point."""
+def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndarray]:
+    """Validated grid with the weights (one vector or a stack) and filter angles."""
     if args.steps < 2:
         raise UsageError("steps must be at least 2")
     if not args.start < args.stop:
@@ -284,7 +287,7 @@ def _sweep_inputs(args) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
     grid = np.linspace(args.start, args.stop, args.steps)
     theta1, theta2 = np.full(args.steps, args.theta1), np.full(args.steps, args.theta2)
     if args.parameter == "q1":
-        return grid, [fr_companion_weights(float(v)) for v in grid], theta1, theta2
+        return grid, fr_companion_weights(grid), theta1, theta2
     if not args.weights:
         raise UsageError(f"--weights is required for a {args.parameter} sweep")
     base = _load_weights(args.weights)
@@ -298,32 +301,27 @@ def _sweep_inputs(args) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
         e_hat = np.array([0.0, 0.0, 1.0])
         p1 = np.array([0.0, np.sin(args.chi1), np.cos(args.chi1)])
         p2 = np.array([0.0, np.sin(args.chi2), np.cos(args.chi2)])
-        theta1, theta2 = np.array([effective_angles(float(v), e_hat, args.delta1, p1,
-                                                    args.delta2, p2) for v in grid]).T
-    return grid, [base] * args.steps, theta1, theta2
+        theta1, theta2 = effective_angles(grid, e_hat, args.delta1, p1, args.delta2, p2)
+    return grid, base, theta1, theta2
 
 
 def build_sweep_rows(args) -> list[dict]:
-    """One row per grid point; the numeric columns come from stacked blocks of
-    SWEEP_BLOCK points (mixture, filter, correlation-matrix SVD, PT spectrum)."""
+    """One row per grid point: numeric columns from stacked blocks of SWEEP_BLOCK
+    points (mixture, filter, SVD, PT spectrum), closed forms over the whole grid."""
     grid, weights, theta1, theta2 = _sweep_inputs(args)
+    q = np.broadcast_to(weights.q, grid.shape + (16,))
     edge = edge_state(1)
     numeric, min_ppt, hs = np.empty((3, len(grid)))
     for lo in range(0, len(grid), SWEEP_BLOCK):
         block = slice(lo, lo + SWEEP_BLOCK)
-        rho = mixtures(np.stack([w.q for w in weights[block]]))
-        boosted = effective_boost_mixture(rho, theta1[block], theta2[block])
+        boosted = effective_boost_mixture(mixtures(q[block]), theta1[block], theta2[block])
         numeric[block] = witness_min_value(boosted)
         min_ppt[block] = ppt_spectrum(boosted, "A")[:, 0]
         hs[block] = hs_distance(edge, boosted)
-    rows = []
-    for n, value in enumerate(grid):
-        w, t1, t2 = weights[n], float(theta1[n]), float(theta2[n])
-        rows.append(dict(zip(CSV_COLUMNS, (
-            args.parameter, float(value), relativistic_witness_value(w, t1, t2),
-            float(numeric[n]), entropy_formula(t1, t2), float(min_ppt[n]),
-            float(hs[n])))))
-    return rows
+    columns = (grid, relativistic_witness_value(weights, theta1, theta2), numeric,
+               entropy_formula(theta1, theta2), min_ppt, hs)
+    return [dict(zip(CSV_COLUMNS, (args.parameter, *values)))
+            for values in zip(*(column.tolist() for column in columns))]
 
 
 def cmd_sweep(args) -> None:

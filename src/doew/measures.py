@@ -2,8 +2,9 @@
 
 The angle arguments (theta1, theta2) throughout are the two effective Wigner
 rotation angles of the momentum-sector filter in ``relativity``; all closed
-forms below describe that filtered family and are validated against
-brute-force oracles in the test suite.  Logarithms are base 2.
+forms below describe that filtered family, apply elementwise to arrays of
+angles (floats in, floats out), and are validated against brute-force
+oracles in the test suite.  Logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ EIGENVALUE_FLOOR = 1e-14
 COINCIDENCE_TOL = 1e-12
 
 
-def kappa(theta1: float, theta2: float) -> float:
+def kappa(theta1, theta2):
     """Angle factor cos^2(t1/2) cos^2(t2/2) / (cos^4(t1/2) + cos^4(t2/2)).
 
     Equals 1/2 exactly when theta1 == theta2 and decreases strictly as the
@@ -36,7 +37,7 @@ def kappa(theta1: float, theta2: float) -> float:
     return k1 ** 2 * k2 ** 2 / s
 
 
-def reduced_eigenvalue_pair(theta1: float, theta2: float) -> tuple[float, float]:
+def reduced_eigenvalue_pair(theta1, theta2):
     """Distinct reduced-state eigenvalues (each doubly degenerate) of a filtered
     odd-family pure state; they sum to 1/2."""
     k1, k2, s = sector_weights(theta1, theta2)
@@ -51,10 +52,12 @@ class EntropyReport:
     entropy_bits: float
 
 
-def _entropy_bits(eigenvalues: np.ndarray) -> float:
+def _entropy_bits(eigenvalues: np.ndarray):
+    # one entropy per spectrum along the last axis, a float for a single one
     ev = np.asarray(eigenvalues, dtype=float)
-    ev = ev[ev > EIGENVALUE_FLOOR]
-    return float(-(ev * np.log2(ev)).sum())
+    logs = np.log2(ev, out=np.zeros_like(ev), where=ev > EIGENVALUE_FLOOR)
+    bits = -(ev * logs).sum(axis=-1)
+    return float(bits) if bits.ndim == 0 else bits
 
 
 def entropy_pure(state: np.ndarray) -> EntropyReport:
@@ -70,21 +73,20 @@ def entropy_pure(state: np.ndarray) -> EntropyReport:
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm!r})")
     n = state.reshape(4, 4)
-    ev_a = np.linalg.eigvalsh(n @ n.conj().T)
-    ev_b = np.linalg.eigvalsh(n.conj().T @ n)
-    e_a, e_b = _entropy_bits(ev_a), _entropy_bits(ev_b)
+    ev = np.linalg.eigvalsh(np.stack([n @ n.conj().T, n.conj().T @ n]))
+    e_a, e_b = _entropy_bits(ev).tolist()
     if abs(e_a - e_b) > NORM_TOL:
         raise ValueError(f"reductions disagree: {e_a} vs {e_b}")
-    return EntropyReport(eigenvalues=ev_a, entropy_bits=e_a)
+    return EntropyReport(eigenvalues=ev[0], entropy_bits=e_a)
 
 
-def entropy_formula(theta1: float, theta2: float) -> float:
+def entropy_formula(theta1, theta2):
     """Closed-form entanglement entropy (bits) of a filtered odd-family pure state.
 
     Constant at 2 bits along theta1 == theta2; strictly below 2 otherwise.
     """
     l1, l2 = reduced_eigenvalue_pair(theta1, theta2)
-    return _entropy_bits(np.array([l1, l1, l2, l2]))
+    return _entropy_bits(np.stack(np.broadcast_arrays(l1, l1, l2, l2), axis=-1))
 
 
 def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -118,16 +120,15 @@ def doew_from_edge(rho_ent: np.ndarray, rho_edge: np.ndarray) -> tuple[np.ndarra
     return w, measure
 
 
-def relativistic_witness_value(weights: MixtureWeights, theta1: float = 0.0,
-                               theta2: float = 0.0) -> float:
+def relativistic_witness_value(weights: MixtureWeights, theta1=0.0, theta2=0.0):
     """Closed-form optimal witness value 1 - Tr sqrt(rho_tilde^t rho_tilde)
-    of a filtered odd mixture.
+    of a filtered odd mixture, per weight vector of a stack.
 
     The angle-independent part collects |b1 - b2|, |b3 +/- b4|; the
     angle-dependent part scales |b5 +/- b6| and |b7 +/- b8| by kappa.
     Negative values certify entanglement.
     """
-    b1, b2, b3, b4, b5, b6, b7, b8 = b_coefficients(weights)
+    b1, b2, b3, b4, b5, b6, b7, b8 = np.moveaxis(b_coefficients(weights), -1, 0)
     k = kappa(theta1, theta2)
     return (0.5 * (1.0 - abs(b1 - b2) - abs(b3 - b4) - abs(b3 + b4))
             - (abs(b5 - b6) + abs(b5 + b6) + abs(b7 - b8) + abs(b7 + b8)) * k)

@@ -57,29 +57,34 @@ def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
+def _half_angle_terms(alpha, e_hat: np.ndarray, delta: float, p_hat: np.ndarray):
+    # bounded at any rapidity, alpha a scalar or an array: cos(Omega/2) = x / r and
+    # sin(Omega/2) n_hat = t (e x p) / r, where t = tanh(alpha/2) tanh(delta/2),
+    # x = 1 + t e.p and r = sqrt(x^2 + t^2 |e x p|^2)
+    if not (np.all(alpha >= 0) and delta >= 0):
+        raise ValueError("rapidities must be nonnegative")
+    e, p = _check_unit(e_hat, "e_hat"), _check_unit(p_hat, "p_hat")
+    # e x p written out: np.cross costs ten times more on two 3-vectors
+    cross = np.array([e[1] * p[2] - e[2] * p[1], e[2] * p[0] - e[0] * p[2],
+                      e[0] * p[1] - e[1] * p[0]])
+    t = np.tanh(alpha / 2) * np.tanh(delta / 2)
+    x = 1.0 + t * float(e @ p)
+    return cross, t, x, np.sqrt(x * x + t * t * float(cross @ cross))
+
+
 def wigner_half_angle(alpha: float, e_hat: np.ndarray,
                       delta: float, p_hat: np.ndarray) -> tuple[float, np.ndarray]:
     """cos(Omega/2) and sin(Omega/2) * n_hat for a boost acting on a moving particle.
 
     alpha is the boost rapidity along unit vector e_hat; delta is the particle
     rapidity (cosh delta = E/m) along unit vector p_hat.  The rotation axis is
-    along e_hat x p_hat.  The two outputs satisfy cos^2 + |sin*n|^2 = 1.
-
-    With t = tanh(alpha/2) tanh(delta/2), x = 1 + t e.p and c = e x p they are
-    (x, t c) / sqrt(x^2 + t^2 |c|^2), bounded and exact at any rapidity.  A
+    along e_hat x p_hat.  The two outputs satisfy cos^2 + |sin*n|^2 = 1.  A
     vanishing boost, a particle at rest, or collinear directions give the
     identity rotation exactly.
     """
-    if not (alpha >= 0 and delta >= 0):
-        raise ValueError("rapidities must be nonnegative")
-    e_hat = _check_unit(e_hat, "e_hat")
-    p_hat = _check_unit(p_hat, "p_hat")
-    cross = np.cross(e_hat, p_hat)
+    cross, t, x, r = _half_angle_terms(alpha, e_hat, delta, p_hat)
     if alpha == 0.0 or delta == 0.0 or np.linalg.norm(cross) < AXIS_TOL:
         return 1.0, np.zeros(3)
-    t = np.tanh(alpha / 2) * np.tanh(delta / 2)
-    x = 1.0 + t * float(e_hat @ p_hat)
-    r = np.sqrt(x * x + t * t * float(cross @ cross))
     return float(x / r), t * cross / r
 
 
@@ -254,16 +259,18 @@ def effective_boost_mixture(rho: np.ndarray, theta1, theta2) -> np.ndarray:
     return out / tr[..., None, None]
 
 
-def effective_angles(alpha: float, e_hat: np.ndarray,
-                     delta1: float, p1_hat: np.ndarray,
-                     delta2: float, p2_hat: np.ndarray) -> tuple[float, float]:
-    """Wigner rotation angles (Omega_1, Omega_2) of the two momentum values.
-
-    Kinematic driver for the closed-form (theta1, theta2) parameterizations:
-    compute each sector's rotation angle under the common observer boost.
-    """
+def effective_angles(alpha, e_hat: np.ndarray, delta1: float, p1_hat: np.ndarray,
+                     delta2: float, p2_hat: np.ndarray):
+    """Wigner rotation angles (Omega_1, Omega_2) of the two momentum values under
+    the common observer boost, the kinematic driver of the closed-form (theta1,
+    theta2) parameterizations; arrays of alpha's shape for an array alpha."""
+    alpha = np.asarray(alpha, dtype=float)
     angles = []
     for delta, p_hat in ((delta1, p1_hat), (delta2, p2_hat)):
-        cos_half, sin_axis = wigner_half_angle(alpha, e_hat, delta, p_hat)
-        angles.append(2.0 * np.arctan2(np.linalg.norm(sin_axis), cos_half))
-    return float(angles[0]), float(angles[1])
+        cross, t, x, r = _half_angle_terms(alpha, e_hat, delta, p_hat)
+        c = np.linalg.norm(cross)
+        # collinear directions give the identity, also where x and r both vanish
+        omega = (2.0 * np.arctan2(t * c / r, x / r) if c >= AXIS_TOL
+                 else np.zeros(alpha.shape))
+        angles.append(float(omega) if omega.ndim == 0 else omega)
+    return tuple(angles)

@@ -104,9 +104,9 @@ def phi_state(i: int, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
 class MixtureWeights:
     """Probability vector q_1..q_16 over the entangled family, with a parity tag.
 
-    ``q`` is stored 0-based (q[i-1] holds q_i).  Weights are validated to sum
-    to one within WEIGHT_SUM_TOL and then renormalized exactly, guarding
-    against accumulated I/O rounding.
+    ``q`` is stored 0-based (q[i-1] holds q_i), or is an (n, 16) stack checked
+    row by row.  Weights are validated to sum to one within WEIGHT_SUM_TOL and
+    then renormalized exactly, guarding against accumulated I/O rounding.
     """
 
     q: np.ndarray
@@ -114,23 +114,23 @@ class MixtureWeights:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if q.shape != (16,):
+        if q.shape[-1:] != (16,) or q.ndim > 2:
             raise ValueError(f"weights must have 16 entries, got shape {q.shape}")
         if not np.isfinite(q).all():
             raise ValueError("weights must be finite")
         if q.min() < 0.0:
             raise ValueError(f"weights must be nonnegative (min {q.min():.3e})")
-        total = q.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        total = q.sum(axis=-1)
+        if np.any(np.abs(total - 1.0) > WEIGHT_SUM_TOL):
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL:.0e}, "
                              f"got {total!r}")
         if self.parity not in ("odd", "even", "free"):
             raise ValueError(f"parity must be odd/even/free, got {self.parity!r}")
-        if self.parity == "odd" and np.any(q[1::2] != 0.0):
+        if self.parity == "odd" and np.any(q[..., 1::2] != 0.0):
             raise ValueError("odd-parity weights must vanish on even indices")
-        if self.parity == "even" and np.any(q[0::2] != 0.0):
+        if self.parity == "even" and np.any(q[..., 0::2] != 0.0):
             raise ValueError("even-parity weights must vanish on odd indices")
-        object.__setattr__(self, "q", q / total)
+        object.__setattr__(self, "q", q / total[..., None])
         self.q.setflags(write=False)
 
     @classmethod

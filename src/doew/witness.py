@@ -128,26 +128,19 @@ def witness_min_value(rho: np.ndarray) -> np.ndarray:
     return 1.0 - np.linalg.svd(correlation_matrix(rho), compute_uv=False).sum(axis=-1)
 
 
-def b_coefficients(weights: MixtureWeights) -> np.ndarray:
-    """The eight signed weight combinations entering the closed forms.
+_B_SIGNS = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1],
+                     [1, -1, -1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, -1, 1, -1],
+                     [1, -1, 1, -1, 0, 0, 0, 0], [0, 0, 0, 0, 1, -1, -1, 1],
+                     [1, 1, -1, -1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, -1, -1]], dtype=float)
 
-    b1, b3, b5, b7 combine (q1, q3, q5, q7) with sign patterns
-    (+ + + +), (+ - - +), (+ - + -), (+ + - -); b2, b4, b6, b8 combine
-    (q9, q11, q13, q15) with (+ + + +), (+ - + -), (+ - - +), (+ + - -).
-    """
+
+def b_coefficients(weights: MixtureWeights) -> np.ndarray:
+    """The eight signed weight combinations b_k = sum_j _B_SIGNS[k-1, j] q_(2j+1)
+    entering the closed forms, one (8,) vector per weight vector of a stack."""
     if weights.parity != "odd":
         raise ValueError("b coefficients are defined for odd-parity weights")
-    q1, q3, q5, q7, q9, q11, q13, q15 = weights.q[0::2]
-    return np.array([
-        q1 + q3 + q5 + q7,
-        q9 + q11 + q13 + q15,
-        q1 - q3 - q5 + q7,
-        q9 - q11 + q13 - q15,
-        q1 - q3 + q5 - q7,
-        q9 - q11 - q13 + q15,
-        q1 + q3 - q5 - q7,
-        q9 + q11 - q13 - q15,
-    ])
+    # summed in index order, q1 first: a matmul may reorder, and so round, the sums
+    return sum(weights.q[..., 2 * k, None] * _B_SIGNS[:, k] for k in range(8))
 
 
 def _pair_signs(b_sum: float, b_diff: float, group: str) -> tuple[float, float]:
@@ -208,14 +201,15 @@ def detect(W: np.ndarray, rho: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", W, rho).real)
 
 
+def _haar_states(rng: np.random.Generator, samples: int) -> np.ndarray:
+    z = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def random_product_states(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Haar-random pure single-particle state pairs, shapes (samples, 4) each."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(2):
-        z = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
-        out.append(z / np.linalg.norm(z, axis=1, keepdims=True))
-    return out[0], out[1]
+    return _haar_states(rng, samples), _haar_states(rng, samples)
 
 
 def _expectations(states: np.ndarray) -> np.ndarray:
@@ -228,15 +222,15 @@ def separability_floor_check(A: np.ndarray, samples: int = 100_000, seed: int = 
     """Worst sampled value of Tr(W rho_s) over pure product states.
 
     With ``optimize_partner`` the second party is chosen adversarially for
-    each Haar-sampled first-party state (an exact eigenvalue minimization),
-    which reaches the true contact point of a tight witness; plain pair
-    sampling leaves a gap of order samples**(-1/3).  The first-step guarantee
-    predicts a floor of at least 1 - sigma_max(A).
+    each Haar-sampled first party of ``random_product_states`` (an exact
+    eigenvalue minimization; the second party is not drawn), which reaches the
+    true contact point of a tight witness; plain pair sampling leaves a gap of
+    order samples**(-1/3).  The first-step guarantee predicts 1 - sigma_max(A).
     """
     A = np.asarray(A, dtype=float)
-    a, b = random_product_states(samples, seed)
-    v = _expectations(a) @ A
+    rng = np.random.default_rng(seed)
+    v = _expectations(_haar_states(rng, samples)) @ A
     if optimize_partner:
         # the partner sees sum_q v_q Q_q; its best state gives the lowest eigenvalue
         return float(1.0 + np.linalg.eigvalsh((v @ _QF).reshape(-1, 4, 4))[:, 0].min())
-    return float(1.0 + (v * _expectations(b)).sum(axis=1).min())
+    return float(1.0 + (v * _expectations(_haar_states(rng, samples))).sum(axis=1).min())

@@ -10,6 +10,7 @@ import numpy as np
 from doew import (edge_weights, hs_distance, kkt_witness, operator_basis,
                   ppt_spectrum, random_product_states, two_particle_bell)
 from doew.states import _PHI_RECIPE
+from doew.witness import _QF, _expectations
 
 BELL_ANGLE = np.pi / 4
 
@@ -52,6 +53,14 @@ def separability_floor_einsum(A: np.ndarray, samples: int, seed: int,
         return float(1.0 + np.linalg.eigvalsh(m)[:, 0].min())
     pb = np.einsum("qij,nj,ni->nq", q, b, b.conj(), optimize=True).real
     return float(1.0 + np.einsum("nq,qr,nr->n", pa, A, pb, optimize=True).min())
+
+
+def separability_floor_two_party(A: np.ndarray, samples: int, seed: int) -> float:
+    """The optimized-partner floor of ``separability_floor_check``, evaluated on
+    the first party of a full two-party ``random_product_states`` draw."""
+    a, _ = random_product_states(samples, seed)
+    v = _expectations(a) @ A
+    return float(1.0 + np.linalg.eigvalsh((v @ _QF).reshape(-1, 4, 4))[:, 0].min())
 
 
 def filter_kron(theta1: float, theta2: float) -> np.ndarray:

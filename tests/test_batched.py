@@ -8,6 +8,8 @@ point-by-point composition of ``kkt_witness``, ``ppt_spectrum`` and
 """
 
 import csv
+import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from doew import (MixtureWeights, build_mixture, correlation_matrix, detect,
                   family_matrix, mixtures, phi_state, ppt_spectrum,
                   relativistic_witness_value, sector_weights, witness_min_value,
                   witness_operator)
+import doew
 from doew.cli import CSV_COLUMNS, SWEEP_BLOCK, fr_companion_weights, main
 from doew.linalg import require_hermitian
 from oracles import (correlation_matrix_einsum, effective_boost_mixture_kron,
@@ -252,3 +255,35 @@ def test_sweep_both_angles_at_pi_exits_one(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("computation error")
+
+
+#: per-point entry points a sweep must call a fixed number of times, not once per point
+GRID_ONCE = ("wigner_half_angle", "relativistic_witness_value", "entropy_formula")
+
+
+@pytest.mark.parametrize("parameter, flags", [
+    ("alpha", ["--start", "0", "--stop", "3", "--chi1", "0.4", "--chi2", "2.5"]),
+    ("q1", ["--start", "0", "--stop", "0.5", "--theta1", "2.9", "--theta2", "0.2"])])
+def test_sweep_runs_closed_forms_once_per_grid(tmp_path, monkeypatch, parameter, flags):
+    calls = Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in GRID_ONCE:
+        original = getattr(doew, name)
+        for module in (doew, doew.cli, doew.measures, doew.relativity):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(MixtureWeights, "__init__",
+                        counted("MixtureWeights", MixtureWeights.__init__))
+    argv = ["--parameter", parameter, *flags, "--steps", "100"]
+    if parameter == "alpha":
+        argv += ["--weights", write_weights(tmp_path)]
+    assert len(run_sweep(tmp_path, argv)) == 100
+    # the sweep's own weights and the edge state's: two at most, whatever the grid
+    assert all(calls[name] <= 2 for name in (*GRID_ONCE, "MixtureWeights")), calls

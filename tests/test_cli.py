@@ -321,6 +321,19 @@ def test_boost_normalizes_vectors(capsys):
     assert scaled == unit
 
 
+@pytest.mark.parametrize("vector, direction", [("1e200,0,0", "1,0,0"),
+                                               ("-1e300,0,0", "-1,0,0"),
+                                               ("0,1e-200,0", "0,1,0"),
+                                               ("3e-310,0,0", "1,0,0")])
+def test_boost_scales_huge_and_tiny_vectors(capsys, vector, direction):
+    # the norm of such a vector overflows or underflows unless it is scaled
+    # first; RuntimeWarnings are errors in the test run
+    _, unit, _ = run(capsys, "boost", "--alpha", "1", f"--e={direction}")
+    code, scaled, err = run(capsys, "boost", "--alpha", "1", f"--e={vector}")
+    assert code == 0 and err == ""
+    assert scaled == unit
+
+
 def strict_json(text):
     """Parse JSON, refusing the NaN and Infinity extensions."""
     def reject(constant):

@@ -1,0 +1,160 @@
+"""Property tests: the whole-grid array forms against their scalar forms, row by row.
+
+``effective_angles`` over an array of rapidities must give, element by element,
+the angle 2 atan2(|sin(Omega/2) n|, cos(Omega/2)) of the scalar
+``wigner_half_angle``; the broadcast closed forms and a stacked
+``MixtureWeights`` must agree with a loop over single rows, and a stack must
+be rejected exactly when one of its rows would be.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doew import (MixtureWeights, effective_angles, entropy_formula,
+                  relativistic_witness_value, wigner_half_angle)
+from doew.relativity import AXIS_TOL
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+#: rapidities: exact zero, ordinary values, and saturated ones up to 1e300
+RAPIDITY = st.one_of(st.just(0.0), st.floats(0.0, 30.0),
+                     st.floats(1.0, 300.0).map(lambda x: 10.0 ** x))
+
+
+@st.composite
+def unit_vectors(draw):
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    if np.linalg.norm(v) < 1e-3:
+        v = np.array([0.0, 0.0, 1.0])
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def momentum_directions(draw, e_hat):
+    """A generic direction, one parallel or antiparallel to e_hat, or one at an
+    angle epsilon from e_hat with |e x p| within a decade of AXIS_TOL."""
+    kind = draw(st.sampled_from(["generic", "parallel", "near_axis"]))
+    if kind == "generic":
+        return draw(unit_vectors())
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "parallel":
+        return sign * e_hat
+    u = np.cross(e_hat, draw(unit_vectors()))
+    if np.linalg.norm(u) < 1e-3:
+        u = np.cross(e_hat, [1.0, 0.0, 0.0] if abs(e_hat[0]) < 0.9 else [0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    eps = draw(st.floats(0.1, 10.0)) * AXIS_TOL
+    return sign * np.cos(eps) * e_hat + np.sin(eps) * u
+
+
+@st.composite
+def kinematics(draw):
+    e_hat = draw(unit_vectors())
+    particles = [(draw(RAPIDITY), draw(momentum_directions(e_hat))) for _ in range(2)]
+    alpha = np.array(draw(st.lists(RAPIDITY, min_size=1, max_size=20)))
+    return alpha, e_hat, particles
+
+
+def scalar_angle(alpha, e_hat, delta, p_hat):
+    cos_half, sin_axis = wigner_half_angle(alpha, e_hat, delta, p_hat)
+    return 2.0 * np.arctan2(np.linalg.norm(sin_axis), cos_half)
+
+
+@SETTINGS
+@given(kinematics())
+def test_effective_angles_match_scalar_half_angles(case):
+    alpha, e_hat, ((d1, p1), (d2, p2)) = case
+    omega1, omega2 = effective_angles(alpha, e_hat, d1, p1, d2, p2)
+    assert omega1.shape == omega2.shape == alpha.shape
+    for k, a in enumerate(alpha.tolist()):
+        assert abs(omega1[k] - scalar_angle(a, e_hat, d1, p1)) <= 1e-15
+        assert abs(omega2[k] - scalar_angle(a, e_hat, d2, p2)) <= 1e-15
+    # a scalar rapidity gives floats, the same as its array element
+    first = effective_angles(float(alpha[0]), e_hat, d1, p1, d2, p2)
+    assert all(type(x) is float for x in first)
+    assert first == (omega1[0], omega2[0])
+
+
+@SETTINGS
+@given(kinematics(), st.floats(-1e300, -1e-300))
+def test_effective_angles_reject_a_negative_rapidity(case, negative):
+    alpha, e_hat, ((d1, p1), (d2, p2)) = case
+    alpha[len(alpha) // 2] = negative
+    with pytest.raises(ValueError, match="rapidities must be nonnegative"):
+        effective_angles(alpha, e_hat, d1, p1, d2, p2)
+    with pytest.raises(ValueError, match="rapidities must be nonnegative"):
+        effective_angles(np.abs(alpha), e_hat, -abs(negative), p1, d2, p2)
+
+
+#: filter angles: ordinary, within 1e-3 of pi, and equal pairs (entropy 2 bits)
+ANGLE = st.one_of(st.floats(-3.0, 3.1), st.floats(np.pi - 1e-3, np.pi - 1e-7))
+
+
+@st.composite
+def grids(draw):
+    n = draw(st.integers(1, 12))
+    theta1 = np.array(draw(st.lists(ANGLE, min_size=n, max_size=n)))
+    theta2 = np.array(draw(st.lists(ANGLE, min_size=n, max_size=n)))
+    equal = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    theta2[equal] = theta1[equal]
+    # odd weights, some of them zero
+    odd = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+                                 min_size=n, max_size=n)))
+    odd[odd.sum(axis=1) == 0.0, 0] = 1.0
+    q = np.zeros((n, 16))
+    q[:, 0::2] = odd / odd.sum(axis=1, keepdims=True)
+    return q, theta1, theta2, equal
+
+
+@SETTINGS
+@given(grids())
+def test_closed_forms_broadcast_like_a_row_loop(grid):
+    q, theta1, theta2, equal = grid
+    stack = MixtureWeights(q, "odd")
+    closed = relativistic_witness_value(stack, theta1, theta2)
+    entropy = entropy_formula(theta1, theta2)
+    assert closed.shape == entropy.shape == theta1.shape
+    for n, row in enumerate(q):
+        single = MixtureWeights(row, "odd")
+        assert np.array_equal(stack.q[n], single.q)
+        t1, t2 = float(theta1[n]), float(theta2[n])
+        assert abs(closed[n] - relativistic_witness_value(single, t1, t2)) <= 1e-15
+        assert abs(entropy[n] - entropy_formula(t1, t2)) <= 1e-15
+        if equal[n]:
+            assert entropy[n] == 2.0
+    # a scalar pair of angles still gives a float
+    assert type(entropy_formula(float(theta1[0]), float(theta2[0]))) is float
+
+
+#: ways to spoil one weight row, with the error each must raise
+SPOILED = {"negative": "nonnegative", "non-finite": "finite", "sum": "sum to 1",
+           "parity": "odd-parity"}
+
+
+def spoil(q, how):
+    j = int(np.argmax(q))   # an odd index holding weight
+    if how == "negative":
+        q[j] = -1e-3
+    elif how == "non-finite":
+        q[j] = np.nan
+    elif how == "sum":
+        q *= 1.0 + 1e-9
+    else:
+        q[j] = q[j + 1] = q[j] / 2
+
+
+@SETTINGS
+@given(grids(), st.sampled_from(sorted(SPOILED)), st.data())
+def test_stack_rejects_a_bad_row_as_the_single_row(grid, how, data):
+    q = grid[0].copy()
+    n = data.draw(st.integers(0, len(q) - 1))
+    spoil(q[n], how)
+    with pytest.raises(ValueError, match=SPOILED[how]):
+        MixtureWeights(q[n], "odd")
+    with pytest.raises(ValueError, match=SPOILED[how]):
+        MixtureWeights(q, "odd")
+    # rounding far inside WEIGHT_SUM_TOL is renormalized away, row by row
+    fine = grid[0] * (1.0 + 1e-14)
+    assert np.allclose(MixtureWeights(fine, "odd").q.sum(axis=1), 1.0, atol=1e-15)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_odd_weights, random_state
-from oracles import separability_floor_einsum
+from oracles import separability_floor_einsum, separability_floor_two_party
 from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
                   coefficient_table, correlation_matrix, detect, edge_state,
                   effective_boost_mixture, kappa, kkt_witness, operator_basis,
@@ -271,19 +271,33 @@ def test_floor_reproducible():
     assert one == two
 
 
+def floor_witnesses(seed):
+    """Three coefficient matrices: the acceptance witness, a random odd-mixture
+    witness and a random orthogonal matrix (every singular value one)."""
+    rng = np.random.default_rng(seed)
+    orthogonal, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    return (kkt_witness(build_mixture(acceptance_mixture()))[0].A,
+            kkt_witness(build_mixture(random_odd_weights(rng)))[0].A,
+            -orthogonal)
+
+
 @pytest.mark.parametrize("optimize_partner", [True, False])
 @pytest.mark.parametrize("seed", [0, 11])
 def test_floor_matches_einsum_oracle(optimize_partner, seed):
-    rng = np.random.default_rng(seed)
-    orthogonal, _ = np.linalg.qr(rng.normal(size=(16, 16)))
-    witnesses = (kkt_witness(build_mixture(acceptance_mixture()))[0].A,
-                 kkt_witness(build_mixture(random_odd_weights(rng)))[0].A,
-                 -orthogonal)
-    for A in witnesses:
+    for A in floor_witnesses(seed):
         got = separability_floor_check(A, samples=3000, seed=seed,
                                        optimize_partner=optimize_partner)
         want = separability_floor_einsum(A, 3000, seed, optimize_partner)
         assert abs(got - want) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_optimized_floor_matches_two_party_draw(seed):
+    # the optimized-partner path draws only the first party, from the same
+    # stream, so its floor is bitwise that of the full two-party draw
+    for A in floor_witnesses(seed):
+        assert separability_floor_check(A, samples=3000, seed=seed) \
+            == separability_floor_two_party(A, 3000, seed)
 
 
 def test_random_product_states_shapes():
