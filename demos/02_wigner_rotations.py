@@ -1,9 +1,10 @@
-"""Wigner rotations: closed-form half angles checked against Lorentz matrices.
+"""Wigner rotations: closed-form half angles checked against composed spinor boosts.
 
 A boost seen from a moving observer rotates each massive particle's spin by a
 momentum-dependent angle.  The closed-form half-angle expressions are compared
-here against the independent oracle that literally multiplies 4x4 boost
-matrices and reads the rotation back out of the little-group element.
+here against the independent oracle that multiplies the two boosts as 2x2
+SL(2,C) matrices and reads the Wigner rotation W = L^-1(Lambda p) Lambda L(p)
+directly off the product.
 """
 
 import numpy as np

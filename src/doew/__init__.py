@@ -19,8 +19,8 @@ from .measures import (ConcurrenceReport, EntropyReport, doew_from_edge,
 from .ppt import (FeasibleRegionReport, closed_form_momentum_pt, edge_state,
                   edge_weights, feasible_region_check,
                   momentum_label_pt_spectrum, ppt_spectrum)
-from .relativity import (WignerRotation, boost_matrix, boost_mixture,
-                         boost_pure, effective_angles, effective_boost_mixture,
+from .relativity import (WignerRotation, boost_mixture, boost_pure,
+                         effective_angles, effective_boost_mixture,
                          effective_boost_pure, sector_weights,
                          single_particle_boost_unitary, wigner_half_angle,
                          wigner_matrix, wigner_rotation_oracle)

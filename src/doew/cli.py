@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -256,8 +257,8 @@ def cmd_measure(args) -> None:
         "boosted_phi1_entropy_bits": entropy_pure(
             effective_boost_pure(phi_state(1, args.theta), args.theta1, args.theta2)
         ).entropy_bits,
+        "concurrence": asdict(generalized_concurrence(args.theta1, args.theta2)),
     }
-    doc["concurrence"] = asdict(generalized_concurrence(args.theta1, args.theta2))
     if weights.parity == "odd":
         doc["witness_value_closed_form"] = relativistic_witness_value(
             weights, args.theta1, args.theta2)
@@ -309,12 +310,14 @@ def build_sweep_rows(args) -> list[dict]:
     """One row per grid point: numeric columns from stacked blocks of SWEEP_BLOCK
     points (mixture, filter, SVD, PT spectrum), closed forms over the whole grid."""
     grid, weights, theta1, theta2 = _sweep_inputs(args)
-    q = np.broadcast_to(weights.q, grid.shape + (16,))
+    # theta and alpha sweeps have one weight vector: one mixture serves every block
+    fixed = mixtures(weights.q) if weights.q.ndim == 1 else None
     edge = edge_state(1)
     numeric, min_ppt, hs = np.empty((3, len(grid)))
     for lo in range(0, len(grid), SWEEP_BLOCK):
         block = slice(lo, lo + SWEEP_BLOCK)
-        boosted = effective_boost_mixture(mixtures(q[block]), theta1[block], theta2[block])
+        rho = mixtures(weights.q[block]) if fixed is None else fixed
+        boosted = effective_boost_mixture(rho, theta1[block], theta2[block])
         numeric[block] = witness_min_value(boosted)
         min_ppt[block] = ppt_spectrum(boosted, "A")[:, 0]
         hs[block] = hs_distance(edge, boosted)
@@ -415,6 +418,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser with the built-in defaults, built at first use; --config builds its own
+_shared_parser = functools.cache(build_parser)
+
+
 def _config_defaults(args: argparse.Namespace) -> dict:
     config = {key.replace("-", "_"): v for key, v in _load_json(args.config).items()}
     for key in config:
@@ -443,7 +450,7 @@ def _check_flag_types(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if args.config:
             # parse again with the file's values as defaults: explicit flags win

@@ -46,24 +46,20 @@ def partial_transpose(rho: np.ndarray, dims: tuple[int, int] = (4, 4),
     Involutive, trace-preserving, and Hermiticity-preserving.
     """
     r4 = _split(rho, dims)
-    if party == "A":
-        out = np.swapaxes(r4, -4, -2)
-    elif party == "B":
-        out = np.swapaxes(r4, -3, -1)
-    else:
+    axes = {"A": (-4, -2), "B": (-3, -1)}.get(party)
+    if axes is None:
         raise ValueError("party must be 'A' or 'B'")
-    return out.reshape(np.shape(rho))
+    return np.swapaxes(r4, *axes).reshape(np.shape(rho))
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int] = (4, 4),
                   party: str = "B") -> np.ndarray:
     """Trace out the named party; the result lives on the surviving party."""
     r4 = _split(rho, dims)
-    if party == "B":
-        return np.einsum("ikjk->ij", r4)
-    if party == "A":
-        return np.einsum("kikj->ij", r4)
-    raise ValueError("party must be 'A' or 'B'")
+    subscripts = {"B": "ikjk->ij", "A": "kikj->ij"}.get(party)
+    if subscripts is None:
+        raise ValueError("party must be 'A' or 'B'")
+    return np.einsum(subscripts, r4)
 
 
 def hs_norm(m: np.ndarray) -> float:

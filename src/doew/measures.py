@@ -108,8 +108,7 @@ def doew_from_edge(rho_ent: np.ndarray, rho_edge: np.ndarray) -> tuple[np.ndarra
     the two states, and Tr(rho_edge W) = 0: the witness hyperplane touches
     the edge state.
     """
-    rho_ent = require_hermitian(rho_ent)
-    rho_edge = require_hermitian(rho_edge)
+    rho_ent, rho_edge = require_hermitian(rho_ent), require_hermitian(rho_edge)
     diff = rho_edge - rho_ent
     norm = hs_norm(diff)
     if norm < COINCIDENCE_TOL:

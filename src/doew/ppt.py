@@ -112,11 +112,8 @@ def edge_weights(direction: int = 1) -> MixtureWeights:
     pair = next((p for p in EQUALITY_PAIRS if direction in p), None)
     if pair is None:
         raise ValueError(f"direction must be an odd index in {EQUALITY_PAIRS}")
-    mapping = {}
-    for a, b in EQUALITY_PAIRS:
-        value = 0.25 if (a, b) == pair else 1.0 / 12.0
-        mapping[a] = mapping[b] = value
-    return MixtureWeights.odd(mapping)
+    return MixtureWeights.odd({i: 0.25 if (a, b) == pair else 1.0 / 12.0
+                               for a, b in EQUALITY_PAIRS for i in (a, b)})
 
 
 def edge_state(direction: int = 1, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:

@@ -1,28 +1,21 @@
 """Wigner rotations of massive spin-1/2 states and boost actions on two-particle states.
 
-Closed-form half-angle kinematics come with an independent 4x4 Lorentz-matrix
-oracle (``wigner_rotation_oracle``) that composes the actual boosts and reads
-the rotation back out, so the formulas are never trusted on their own.
+The closed-form half angles (``wigner_half_angle``) are checked against an
+independent oracle (``wigner_rotation_oracle``) that composes the boosts as 2x2
+SL(2,C) spinor matrices and reads the rotation back out.
 
-Two boost actions are exposed:
-
-* ``boost_pure`` / ``boost_mixture``: the exact local-unitary action.  After
-  re-identifying the boosted momentum labels with the original ones, a boost
-  is a block-diagonal 4x4 unitary per particle (one 2x2 Wigner rotation per
-  momentum sector).  Local unitaries preserve reduced spectra, global spectra
-  and entanglement entropy.
-
-* ``effective_boost_pure`` / ``effective_boost_mixture``: the non-unitary
-  momentum-sector attenuation behind all closed-form angle dependence in
-  ``measures`` and ``ppt``.  Each single-particle momentum sector p_i is
-  weighted by cos(theta_i / 2) and the result renormalized.  This filtered
-  family is what the angle-parameterized witness values, reduced spectra and
-  partial-transpose spectra of the closed forms describe; equal angles give
-  back the input exactly.
+A boost acts in one of two ways.  ``boost_pure`` / ``boost_mixture`` apply the
+exact local unitary: with the boosted momentum labels re-identified with the
+original ones, one 2x2 Wigner rotation per momentum sector, which preserves
+every spectrum and the entanglement entropy.  ``effective_boost_pure`` /
+``effective_boost_mixture`` apply the non-unitary momentum-sector filter that
+all closed forms in ``measures`` and ``ppt`` describe: sector p_i is weighted by
+cos(theta_i / 2) and the result renormalized; equal angles return the input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +27,8 @@ HALF_ANGLE_NORM_TOL = 1e-10
 
 # a rotation axis (e x p, or sin(Omega/2) n) shorter than this: the identity
 AXIS_TOL = 1e-15
-# the 4x4 oracle's on-shell and little-group checks, and its half-turn cutoff
+# the spinor oracle's unitarity check and its bound on its own rounding error
 LORENTZ_TOL = 1e-9
-HALF_TURN_TOL = 1e-8
 
 # both momentum sectors annihilated (angles within ~1e-8 of pi) is a domain error
 SECTOR_WEIGHT_FLOOR = 1e-30
@@ -119,59 +111,48 @@ def wigner_matrix(cos_half: float, sin_axis: np.ndarray) -> WignerRotation:
     return WignerRotation(omega=float(omega), axis=axis, matrix=d)
 
 
-def _pure_boost(e0: float, p: np.ndarray) -> np.ndarray:
-    # the pure boost taking the unit-mass rest vector (1, 0, 0, 0) to (e0, p)
-    L = np.empty((4, 4))
-    L[0, 0] = e0
-    L[0, 1:] = L[1:, 0] = p
-    L[1:, 1:] = np.eye(3) + np.outer(p, p) / (1.0 + e0)
-    return L
+def _pauli_product(x, y):
+    # (a + sigma.u)(b + sigma.v) = a b + u.v + sigma.(a v + b u + i u x v), u and v 3-tuples
+    (a, (u1, u2, u3)), (b, (v1, v2, v3)) = x, y
+    return (a * b + u1 * v1 + u2 * v2 + u3 * v3,
+            (a * v1 + b * u1 + 1j * (u2 * v3 - u3 * v2),
+             a * v2 + b * u2 + 1j * (u3 * v1 - u1 * v3),
+             a * v3 + b * u3 + 1j * (u1 * v2 - u2 * v1)))
 
 
-def boost_matrix(rapidity: float, direction: np.ndarray) -> np.ndarray:
-    """Active 4x4 pure boost: maps (m, 0) to m (cosh r, sinh r * direction)."""
-    e = _check_unit(direction, "direction")
-    return _pure_boost(np.cosh(rapidity), np.sinh(rapidity) * e)
-
-
-def standard_boost_to(p4: np.ndarray) -> np.ndarray:
-    """Pure boost taking the unit-mass rest vector (1,0,0,0) to p4.
-
-    Built algebraically from the four-vector, avoiding an arccosh round trip.
-    """
-    p4 = np.asarray(p4, dtype=float)
-    e0, p = p4[0], p4[1:]
-    if not abs(e0 ** 2 - p @ p - 1.0) <= LORENTZ_TOL:
-        raise ValueError("expected an on-shell unit-mass four-vector")
-    return _pure_boost(e0, p)
+def _pauli_dagger(x):
+    return x[0].conjugate(), tuple(c.conjugate() for c in x[1])
 
 
 def wigner_rotation_oracle(alpha: float, e_hat: np.ndarray,
                            delta: float, p_hat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Read (cos(Omega/2), sin(Omega/2)*n_hat) off the composed 4x4 Lorentz matrices.
+    """Read (cos(Omega/2), sin(Omega/2)*n_hat) off the composed SL(2,C) boosts.
 
-    Forms W = L^{-1}(Lambda p) Lambda L(p), checks it is a spatial rotation,
-    and converts its 3x3 block to half-angle data.  Independent of the closed
-    form in ``wigner_half_angle``.  Overflowing rapidities are a domain error.
+    M = B(alpha, e) B(delta, p) for B(r, n) = cosh(r/2) I + sinh(r/2) sigma.n.  With
+    P = M M^dag, L = (P + I) / sqrt(tr P + 2) is the pure boost to the final momentum,
+    and W = L^-1 M = (tr L I - L) M = w I + i sigma.v.  Independent of the closed
+    form in ``wigner_half_angle``.  The products cancel terms of size
+    cosh((alpha + delta)/2) sqrt(tr P + 2): the rapidities are out of range unless
+    eight rounding units of that size, and W's deviation from unitarity, are
+    within LORENTZ_TOL.
     """
+    e, p = _check_unit(e_hat, "e_hat").tolist(), _check_unit(p_hat, "p_hat").tolist()
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            Lam = boost_matrix(alpha, e_hat)
-            Lp = boost_matrix(delta, p_hat)
-            q4 = Lam @ Lp @ np.array([1.0, 0.0, 0.0, 0.0])
-            W = np.linalg.inv(standard_boost_to(q4)) @ Lam @ Lp
-    except FloatingPointError as exc:
-        raise ValueError(f"Lorentz matrices out of range at these rapidities ({exc})") from exc
-    if not np.allclose(W @ np.array([1.0, 0, 0, 0]), [1.0, 0, 0, 0], atol=LORENTZ_TOL):
-        raise ValueError("composition did not land in the little group")
-    R = W[1:, 1:]
-    w = 0.5 * np.sqrt(max(0.0, 1.0 + np.trace(R)))
-    if w < HALF_TURN_TOL:
-        raise ValueError("half-turn rotation: axis extraction is degenerate")
-    # quaternion vector part of R; the spin-1/2 convention used throughout is
-    # D = w I + i sigma.v, which corresponds to v = -(quaternion vector part)
-    v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / (4 * w)
-    return float(w), -v
+        ca, sa = math.cosh(alpha / 2), math.sinh(alpha / 2)
+        cd, sd = math.cosh(delta / 2), math.sinh(delta / 2)
+    except OverflowError as exc:
+        raise ValueError(f"rapidities out of range ({exc})") from exc
+    m = _pauli_product((ca, tuple(sa * x for x in e)), (cd, tuple(sd * x for x in p)))
+    p0, pv = _pauli_product(m, _pauli_dagger(m))
+    s = math.sqrt(2.0 * p0.real + 2.0)
+    w = _pauli_product(((p0.real + 1.0) / s, tuple(-x.real / s for x in pv)), m)
+    g0, (g1, g2, g3) = _pauli_product(w, _pauli_dagger(w))
+    bound = 8 * math.ulp(1.0) * (ca * cd + abs(sa * sd)) * s
+    unitarity = max(abs(g0 - 1 + g3), abs(g0 - 1 - g3), abs(g1 - 1j * g2), abs(g1 + 1j * g2))
+    if not (bound <= LORENTZ_TOL and unitarity <= LORENTZ_TOL):   # NaN refuses too
+        raise ValueError(f"spinor composition out of range at these rapidities (rounding "
+                         f"bound {bound:.1e}, unitarity deviation {unitarity:.1e})")
+    return w[0].real, np.array([x.imag for x in w[1]])
 
 
 def single_particle_boost_unitary(d1: WignerRotation | np.ndarray,

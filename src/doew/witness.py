@@ -194,8 +194,7 @@ def coefficient_table(weights: MixtureWeights) -> np.ndarray:
 
 def detect(W: np.ndarray, rho: np.ndarray) -> float:
     """Tr(W rho); negative values certify entanglement of rho."""
-    W = np.asarray(W)
-    rho = np.asarray(rho)
+    W, rho = np.asarray(W), np.asarray(rho)
     if W.shape != rho.shape:
         raise ValueError(f"dimension mismatch: {W.shape} vs {rho.shape}")
     return float(np.einsum("ij,ji->", W, rho).real)

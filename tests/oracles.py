@@ -2,13 +2,16 @@
 
 Each is the straightforward form of a fixed linear map: the Bell recipe
 evaluated state by state, einsum contractions with the operator basis, and
-the filter as a Kronecker product of the single-particle attenuation.
+the filter as a Kronecker product of the single-particle attenuation.  The
+Wigner rotation is also composed from 4x4 Lorentz matrices, a second oracle
+beside the library's 2x2 spinor one.
 """
 
 import numpy as np
 
 from doew import (edge_weights, hs_distance, kkt_witness, operator_basis,
                   ppt_spectrum, random_product_states, two_particle_bell)
+from doew.relativity import LORENTZ_TOL
 from doew.states import _PHI_RECIPE
 from doew.witness import _QF, _expectations
 
@@ -87,3 +90,42 @@ def sweep_point(weights, theta1: float, theta2: float) -> dict:
         "min_ppt_eig": float(ppt_spectrum(boosted, "A")[0]),
         "hs_measure": float(hs_distance(EDGE_STATE, boosted)),
     }
+
+
+def pure_boost(e0: float, p: np.ndarray) -> np.ndarray:
+    """The 4x4 pure boost taking the unit-mass rest vector (1, 0, 0, 0) to (e0, p)."""
+    L = np.empty((4, 4))
+    L[0, 0] = e0
+    L[0, 1:] = L[1:, 0] = p
+    L[1:, 1:] = np.eye(3) + np.outer(p, p) / (1.0 + e0)
+    return L
+
+
+def standard_boost_to(p4: np.ndarray) -> np.ndarray:
+    """Pure boost taking the unit-mass rest vector to the on-shell four-vector p4."""
+    p4 = np.asarray(p4, dtype=float)
+    e0, p = p4[0], p4[1:]
+    if not abs(e0 ** 2 - p @ p - 1.0) <= LORENTZ_TOL:
+        raise ValueError("expected an on-shell unit-mass four-vector")
+    return pure_boost(e0, p)
+
+
+def lorentz_wigner_oracle(alpha: float, e_hat: np.ndarray,
+                          delta: float, p_hat: np.ndarray) -> tuple[float, np.ndarray]:
+    """(cos(Omega/2), sin(Omega/2) n_hat) of W = L^{-1}(Lambda p) Lambda L(p), composed
+    from 4x4 Lorentz matrices and read off W's rotation block as a quaternion.
+
+    Its on-shell check and the product cancel terms of size e^{2(alpha + delta)},
+    so it holds 1e-9 only up to alpha + delta of about 8.
+    """
+    lam = pure_boost(np.cosh(alpha), np.sinh(alpha) * np.asarray(e_hat))
+    lp = pure_boost(np.cosh(delta), np.sinh(delta) * np.asarray(p_hat))
+    q4 = lam @ lp @ np.array([1.0, 0.0, 0.0, 0.0])
+    W = np.linalg.inv(standard_boost_to(q4)) @ lam @ lp
+    assert np.allclose(W[:, 0], [1.0, 0.0, 0.0, 0.0], atol=LORENTZ_TOL)
+    R = W[1:, 1:]
+    w = 0.5 * np.sqrt(max(0.0, 1.0 + np.trace(R)))
+    assert w > 1e-8, "half turn: the axis cannot be read off R"
+    # D = w I + i sigma.v corresponds to v = -(the quaternion vector part of R)
+    v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / (4 * w)
+    return float(w), -v

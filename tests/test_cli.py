@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from doew import cli
 from doew.cli import CSV_COLUMNS, main
 
 
@@ -389,11 +390,31 @@ def test_config_never_overrides_an_explicit_flag(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["--alpha", "400"], ["--alpha", "700"], ["--alpha", "800"],
                                   ["--alpha", "1e300"], ["--alpha", "1", "--delta1", "800"]])
 def test_boost_huge_rapidity_is_a_domain_error(capsys, argv):
-    # the closed form is exact there, but the 4x4 oracle's matrices overflow
+    # the closed form is exact there, but the oracle cannot check it to 1e-9
     code, out, err = run(capsys, "boost", *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("computation error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["7", "10"])
+def test_boost_is_checked_beyond_alpha_plus_delta_of_8(capsys, alpha):
+    # a 4x4 Lorentz-matrix oracle loses 1e-9 to cancellation there
+    code, out, err = run(capsys, "boost", "--alpha", alpha)
+    assert code == 0 and err == ""
+    assert all(p["oracle_residual"] <= 1e-9 for p in json.loads(out)["particles"])
+
+
+def test_config_defaults_never_reach_the_shared_parser(tmp_path, capsys):
+    wpath = write_weights(tmp_path, {1: 1.0})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta2": 1.5}))
+    code, out, _ = run(capsys, "measure", "--weights", wpath, "--config", str(cfg))
+    assert code == 0 and json.loads(out)["theta2"] == 1.5
+    code, after, _ = run(capsys, "measure", "--weights", wpath)
+    assert code == 0 and json.loads(after)["theta2"] == 0.0
+    cli._shared_parser.cache_clear()
+    assert run(capsys, "measure", "--weights", wpath) == (0, after, "")
 
 
 @pytest.mark.parametrize("stop", ["800", "1e300"])

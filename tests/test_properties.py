@@ -4,7 +4,9 @@
 the angle 2 atan2(|sin(Omega/2) n|, cos(Omega/2)) of the scalar
 ``wigner_half_angle``; the broadcast closed forms and a stacked
 ``MixtureWeights`` must agree with a loop over single rows, and a stack must
-be rejected exactly when one of its rows would be.
+be rejected exactly when one of its rows would be.  The spinor oracle must
+agree with the closed form whenever it does not refuse, and the partial
+transpose and the filter must keep their algebraic identities on stacks.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doew import (MixtureWeights, effective_angles, entropy_formula,
-                  relativistic_witness_value, wigner_half_angle)
-from doew.relativity import AXIS_TOL
+from doew import (MixtureWeights, effective_angles, effective_boost_mixture,
+                  entropy_formula, mixtures, partial_transpose,
+                  relativistic_witness_value, wigner_half_angle,
+                  wigner_rotation_oracle)
+from doew.relativity import AXIS_TOL, LORENTZ_TOL
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -88,6 +92,49 @@ def test_effective_angles_reject_a_negative_rapidity(case, negative):
         effective_angles(np.abs(alpha), e_hat, -abs(negative), p1, d2, p2)
 
 
+@st.composite
+def oracle_kinematics(draw):
+    """alpha + delta in [0, 25]: generic, alpha = 0 or delta = 0, and momenta
+    parallel, antiparallel or nearly so to the boost."""
+    total = draw(st.floats(0.0, 25.0))
+    split = draw(st.sampled_from(["generic", "alpha_zero", "delta_zero"]))
+    alpha = {"alpha_zero": 0.0, "delta_zero": total}.get(split)
+    if alpha is None:
+        alpha = draw(st.floats(0.0, total))
+    e_hat = draw(unit_vectors())
+    return alpha, e_hat, total - alpha, draw(momentum_directions(e_hat))
+
+
+@SETTINGS
+@given(oracle_kinematics())
+def test_spinor_oracle_is_sound(case):
+    alpha, e_hat, delta, p_hat = case
+    try:
+        oc, ov = wigner_rotation_oracle(alpha, e_hat, delta, p_hat)
+    except ValueError:
+        assert alpha + delta > 12.0
+        return
+    c, v = wigner_half_angle(alpha, e_hat, delta, p_hat)
+    assert abs(c - oc) <= LORENTZ_TOL
+    assert np.max(np.abs(v - ov)) <= LORENTZ_TOL
+
+
+@SETTINGS
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 4)]), st.integers(0, 5),
+       st.sampled_from("AB"), st.integers(0, 2 ** 32 - 1))
+def test_partial_transpose_is_an_involution_on_stacks(dims, n, party, seed):
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    stack = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    once = partial_transpose(stack, dims, party)
+    assert once.shape == stack.shape
+    assert np.array_equal(partial_transpose(once, dims, party), stack)
+    assert np.array_equal(np.trace(once, axis1=-2, axis2=-1),
+                          np.trace(stack, axis1=-2, axis2=-1))
+    for k in range(n):
+        assert np.array_equal(once[k], partial_transpose(stack[k], dims, party))
+
+
 #: filter angles: ordinary, within 1e-3 of pi, and equal pairs (entropy 2 bits)
 ANGLE = st.one_of(st.floats(-3.0, 3.1), st.floats(np.pi - 1e-3, np.pi - 1e-7))
 
@@ -158,3 +205,13 @@ def test_stack_rejects_a_bad_row_as_the_single_row(grid, how, data):
     # rounding far inside WEIGHT_SUM_TOL is renormalized away, row by row
     fine = grid[0] * (1.0 + 1e-14)
     assert np.allclose(MixtureWeights(fine, "odd").q.sum(axis=1), 1.0, atol=1e-15)
+
+
+@SETTINGS
+@given(st.lists(ANGLE, min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
+def test_equal_filter_angles_return_the_input(angles, seed):
+    theta = np.array(angles)
+    rho = mixtures(np.random.default_rng(seed).dirichlet(np.ones(16), len(theta)))
+    assert np.max(np.abs(effective_boost_mixture(rho, theta, theta) - rho)) <= 1e-12
+    single = effective_boost_mixture(rho[0], angles[0], angles[0])
+    assert np.max(np.abs(single - rho[0])) <= 1e-12

@@ -8,7 +8,7 @@ from doew import (MixtureWeights, boost_mixture, boost_pure, build_mixture,
                   effective_boost_pure, entropy_pure, phi_state,
                   single_particle_boost_unitary, wigner_half_angle,
                   wigner_matrix, wigner_rotation_oracle)
-from doew.relativity import standard_boost_to
+from oracles import lorentz_wigner_oracle, standard_boost_to
 
 EZ = np.array([0.0, 0.0, 1.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -84,6 +84,17 @@ def test_half_angle_bounded_at_huge_rapidity(alpha):
 def test_oracle_rejects_overflowing_rapidities(alpha, delta):
     with pytest.raises(ValueError, match="out of range"):
         wigner_rotation_oracle(alpha, EZ, delta, EY)
+
+
+def test_spinor_oracle_matches_lorentz_oracle(rng):
+    # the 4x4 composition loses 1e-9 to cancellation beyond alpha + delta of about 8
+    for _ in range(200):
+        total = rng.uniform(0.0, 6.0)
+        alpha = rng.uniform(0.0, total)
+        e, p = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+        c, v = lorentz_wigner_oracle(alpha, e, total - alpha, p)
+        oc, ov = wigner_rotation_oracle(alpha, e, total - alpha, p)
+        assert abs(c - oc) <= 1e-12 and np.max(np.abs(v - ov)) <= 1e-12
 
 
 def test_standard_boost_rejects_nan():
