@@ -28,8 +28,8 @@ from .linalg import partial_trace
 from .measures import (doew_from_edge, entropy_formula, entropy_pure,
                        generalized_concurrence, hs_distance,
                        relativistic_witness_value)
-from .ppt import (closed_form_momentum_pt, edge_state, feasible_region_check,
-                  momentum_label_pt_spectrum, ppt_spectrum)
+from .ppt import (closed_form_momentum_pt, edge_state, feasible_family,
+                  feasible_region_check, momentum_label_pt_spectrum, ppt_spectrum)
 from .relativity import (effective_angles, effective_boost_mixture,
                          effective_boost_pure, wigner_half_angle,
                          wigner_matrix, wigner_rotation_oracle)
@@ -82,10 +82,12 @@ def _load_json(path: str) -> dict:
 
 def _load_weights(path: str) -> MixtureWeights:
     data = _load_json(path)
+    for key in sorted(set(data) - {"q", "parity"}):
+        raise UsageError(f"unknown key {key!r} in weights file {path!r}")
     try:
         return MixtureWeights.from_mapping(data.get("q", {}),
                                            parity=data.get("parity", "free"))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid weights in {path!r}: {exc}") from exc
 
 
@@ -122,15 +124,14 @@ def _emit(doc: dict, out: str | None) -> None:
 
 # ---------------------------------------------------------------- subcommands
 
-def cmd_state(args) -> None:
+def cmd_state(args) -> dict:
     v = phi_state(args.phi, args.theta)
-    _emit({
-        "command": "state",
+    return {
         "phi": args.phi,
         "theta": args.theta,
         "amplitudes": v,
         "norm": np.linalg.norm(v),
-    }, args.out)
+    }
 
 
 def _load_state(args) -> tuple[MixtureWeights, np.ndarray]:
@@ -142,25 +143,24 @@ def _load_state(args) -> tuple[MixtureWeights, np.ndarray]:
     return weights, rho
 
 
-def cmd_rho(args) -> None:
+def cmd_rho(args) -> dict:
     weights, rho = _load_state(args)
     doc = {
-        "command": "rho",
         "parity": weights.parity,
         "theta": args.theta,
         "theta1": args.theta1,
         "theta2": args.theta2,
         "trace": np.trace(rho).real,
         "eigenvalues": np.linalg.eigvalsh(rho),
-        "purity": np.einsum("ij,ji->", rho, rho).real,
+        "purity": detect(rho, rho),
         "reduced_A_eigenvalues": np.linalg.eigvalsh(partial_trace(rho, (4, 4), "B")),
     }
     if args.full:
         doc["matrix"] = rho
-    _emit(doc, args.out)
+    return doc
 
 
-def cmd_boost(args) -> None:
+def cmd_boost(args) -> dict:
     e_hat = _parse_vec(args.e)
     particles = []
     for delta, p_text in ((args.delta1, args.p1), (args.delta2, args.p2)):
@@ -179,21 +179,19 @@ def cmd_boost(args) -> None:
             "d_matrix": rot.matrix,
             "oracle_residual": residual,
         })
-    _emit({
-        "command": "boost",
+    return {
         "alpha": args.alpha,
         "e_hat": e_hat,
         "particles": particles,
         "effective_angles": [p["omega"] for p in particles],
-    }, args.out)
+    }
 
 
-def cmd_ppt(args) -> None:
+def cmd_ppt(args) -> dict:
     weights, rho = _load_state(args)
     spec_a = ppt_spectrum(rho, "A")
     spec_b = ppt_spectrum(rho, "B")
     doc = {
-        "command": "ppt",
         "theta1": args.theta1,
         "theta2": args.theta2,
         "ppt_spectrum_A": spec_a,
@@ -208,16 +206,15 @@ def cmd_ppt(args) -> None:
         doc["momentum_label_spectrum"] = mom
         doc["closed_form_spectrum"] = closed
         doc["closed_form_residual"] = np.max(np.abs(mom - closed))
-    _emit(doc, args.out)
+    return doc
 
 
-def cmd_witness(args) -> None:
+def cmd_witness(args) -> dict:
     if args.floor_samples < 0:
         raise UsageError("--floor-samples must be nonnegative")
     weights, rho = _load_state(args)
     coeffs, w = kkt_witness(rho)
     doc = {
-        "command": "witness",
         "theta1": args.theta1,
         "theta2": args.theta2,
         "A": coeffs.A,
@@ -238,10 +235,10 @@ def cmd_witness(args) -> None:
         doc["separability_floor"] = separability_floor_check(
             coeffs.A, samples=args.floor_samples, seed=args.seed)
         doc["seed"] = args.seed
-    _emit(doc, args.out)
+    return doc
 
 
-def cmd_measure(args) -> None:
+def cmd_measure(args) -> dict:
     weights, rho = _load_state(args)
     edge = edge_state(1, args.theta)
     try:
@@ -249,7 +246,6 @@ def cmd_measure(args) -> None:
     except ValueError:
         measure = 0.0   # coincident with the edge state
     doc = {
-        "command": "measure",
         "theta1": args.theta1,
         "theta2": args.theta2,
         "hs_measure_to_edge": measure,
@@ -263,20 +259,16 @@ def cmd_measure(args) -> None:
         doc["witness_value_closed_form"] = relativistic_witness_value(
             weights, args.theta1, args.theta2)
         doc["witness_value_numeric"] = float(witness_min_value(rho))
-    _emit(doc, args.out)
+    return doc
 
 
 # --------------------------------------------------------------------- sweep
 
 def fr_companion_weights(q1) -> MixtureWeights:
-    """Feasible-region family with q1 = q7 swept and the residual spread evenly."""
-    q1 = np.asarray(q1, dtype=float)
+    """The feasible family with q1 = q7 swept (``ppt.feasible_family``)."""
     if not np.all((0.0 <= q1) & (q1 <= 0.5)):
         raise UsageError("q1 must lie in [0, 0.5]")
-    q = np.zeros(q1.shape + (16,))
-    q[..., [0, 6]] = q1[..., None]
-    q[..., [2, 4, 8, 10, 12, 14]] = ((1.0 - 2.0 * q1) / 6.0)[..., None]
-    return MixtureWeights(q, "odd")
+    return feasible_family(q1)
 
 
 def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndarray]:
@@ -403,9 +395,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own usage errors raise UsageError: one stderr line, exit 2."""
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The ``doew`` parser; ``defaults`` (from --config) replace built-in flag defaults."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doew",
         description="Entanglement witnesses for two-particle momentum-spin states")
     parser.add_argument("--version", action="version", version=__version__)
@@ -450,13 +448,15 @@ def _check_flag_types(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)
         if args.config:
             # parse again with the file's values as defaults: explicit flags win
             args = build_parser(_config_defaults(args)).parse_args(argv)
         _check_flag_types(args)
-        args.func(args)
+        doc = args.func(args)
+        if doc is not None:   # every command but sweep returns its JSON document
+            _emit({"command": args.command, **doc}, args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import hs_norm, require_hermitian
 from .relativity import sector_weights
 from .states import MixtureWeights
-from .witness import b_coefficients
+from .witness import b_coefficients, detect
 
 NORM_TOL = 1e-10
 
@@ -113,10 +113,8 @@ def doew_from_edge(rho_ent: np.ndarray, rho_edge: np.ndarray) -> tuple[np.ndarra
     norm = hs_norm(diff)
     if norm < COINCIDENCE_TOL:
         raise ValueError("edge and entangled states coincide")
-    overlap = float(np.einsum("ij,ji->", rho_edge, diff).real)
-    w = (diff - overlap * np.eye(rho_edge.shape[0])) / norm
-    measure = -float(np.einsum("ij,ji->", rho_ent, w).real)
-    return w, measure
+    w = (diff - detect(rho_edge, diff) * np.eye(rho_edge.shape[0])) / norm
+    return w, -detect(rho_ent, w)
 
 
 def relativistic_witness_value(weights: MixtureWeights, theta1=0.0, theta2=0.0):

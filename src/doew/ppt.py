@@ -30,10 +30,7 @@ _PAIR_FIRST, _PAIR_SECOND = np.array(EQUALITY_PAIRS).T - 1   # 0-based members
 
 
 def _pt_spectrum(rho: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarray:
-    rho = require_hermitian(rho)
-    if rho.shape[-2:] != (16, 16):
-        raise ValueError("expected a 16x16 two-particle operator")
-    return np.linalg.eigvalsh(partial_transpose(rho, dims, party))
+    return np.linalg.eigvalsh(partial_transpose(require_hermitian(rho), dims, party))
 
 
 def ppt_spectrum(rho: np.ndarray, party: str = "A") -> np.ndarray:
@@ -102,18 +99,25 @@ def feasible_region_check(weights: MixtureWeights) -> FeasibleRegionReport:
                                 is_ppt=ok)
 
 
-def edge_weights(direction: int = 1) -> MixtureWeights:
-    """Weights of the PPT boundary mixture saturating q_i = 1/4 along one pair.
-
-    The chosen pair gets 1/4 each; the remaining six odd weights share the
-    rest uniformly (1/12 each), which keeps every equality satisfied.  Any
-    other feasible split of the residual weight touches the same boundary.
-    """
+def feasible_family(q, direction: int = 1) -> MixtureWeights:
+    """Odd weights with q on each member of the equality pair holding ``direction``
+    and 1 - 2q shared evenly by the other six odd indices (feasible for q in
+    [0, 1/4]); an array q gives a stack, one weight vector per entry."""
     pair = next((p for p in EQUALITY_PAIRS if direction in p), None)
     if pair is None:
         raise ValueError(f"direction must be an odd index in {EQUALITY_PAIRS}")
-    return MixtureWeights.odd({i: 0.25 if (a, b) == pair else 1.0 / 12.0
-                               for a, b in EQUALITY_PAIRS for i in (a, b)})
+    q = np.asarray(q, dtype=float)
+    w = np.zeros(q.shape + (16,))
+    w[..., 0::2] = ((1.0 - 2.0 * q) / 6.0)[..., None]
+    w[..., np.array(pair) - 1] = q[..., None]
+    return MixtureWeights(w, "odd")
+
+
+def edge_weights(direction: int = 1) -> MixtureWeights:
+    """Weights of the PPT boundary mixture saturating q_i = 1/4 along one pair,
+    ``feasible_family`` at q = 1/4 (the other six odd weights 1/12 each); any
+    other feasible split of the residual weight touches the same boundary."""
+    return feasible_family(0.25, direction)
 
 
 def edge_state(direction: int = 1, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:

@@ -33,12 +33,6 @@ LORENTZ_TOL = 1e-9
 # both momentum sectors annihilated (angles within ~1e-8 of pi) is a domain error
 SECTOR_WEIGHT_FLOOR = 1e-30
 
-_SIGMA = np.array([
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=complex)
-
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -52,7 +46,7 @@ def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
 def _half_angle_terms(alpha, e_hat: np.ndarray, delta: float, p_hat: np.ndarray):
     # bounded at any rapidity, alpha a scalar or an array: cos(Omega/2) = x / r and
     # sin(Omega/2) n_hat = t (e x p) / r, where t = tanh(alpha/2) tanh(delta/2),
-    # x = 1 + t e.p and r = sqrt(x^2 + t^2 |e x p|^2)
+    # x = 1 + t e.p and r = sqrt(x^2 + t^2 |e x p|^2); also returns |e x p|
     if not (np.all(alpha >= 0) and delta >= 0):
         raise ValueError("rapidities must be nonnegative")
     e, p = _check_unit(e_hat, "e_hat"), _check_unit(p_hat, "p_hat")
@@ -61,7 +55,8 @@ def _half_angle_terms(alpha, e_hat: np.ndarray, delta: float, p_hat: np.ndarray)
                       e[0] * p[1] - e[1] * p[0]])
     t = np.tanh(alpha / 2) * np.tanh(delta / 2)
     x = 1.0 + t * float(e @ p)
-    return cross, t, x, np.sqrt(x * x + t * t * float(cross @ cross))
+    cross2 = float(cross @ cross)
+    return cross, np.sqrt(cross2), t, x, np.sqrt(x * x + t * t * cross2)
 
 
 def wigner_half_angle(alpha: float, e_hat: np.ndarray,
@@ -74,8 +69,8 @@ def wigner_half_angle(alpha: float, e_hat: np.ndarray,
     vanishing boost, a particle at rest, or collinear directions give the
     identity rotation exactly.
     """
-    cross, t, x, r = _half_angle_terms(alpha, e_hat, delta, p_hat)
-    if alpha == 0.0 or delta == 0.0 or np.linalg.norm(cross) < AXIS_TOL:
+    cross, c, t, x, r = _half_angle_terms(alpha, e_hat, delta, p_hat)
+    if alpha == 0.0 or delta == 0.0 or c < AXIS_TOL:
         return 1.0, np.zeros(3)
     return float(x / r), t * cross / r
 
@@ -96,13 +91,15 @@ def wigner_matrix(cos_half: float, sin_axis: np.ndarray) -> WignerRotation:
     cos_half it must satisfy the normalization cos^2 + |sin_axis|^2 = 1.
     """
     sin_axis = np.asarray(sin_axis, dtype=float)
-    norm2 = cos_half ** 2 + float(sin_axis @ sin_axis)
+    s2 = float(sin_axis @ sin_axis)
+    norm2 = cos_half ** 2 + s2
     if abs(norm2 - 1.0) > HALF_ANGLE_NORM_TOL:
         raise ValueError(f"half-angle normalization violated ({norm2!r})")
-    d = cos_half * np.eye(2, dtype=complex)
-    for k in range(3):
-        d += 1j * sin_axis[k] * _SIGMA[k]
-    s = np.linalg.norm(sin_axis)
+    # entries summed as cos_half I + i sum_k s_k sigma_k, keeping the signs of zeros
+    c, o = cos_half * (1 + 0j), cos_half * 0j
+    i1, i2, i3 = (1j * x for x in sin_axis.tolist())
+    d = np.array([[c + i3, o + i1 + i2 * -1j], [o + i1 + i2 * 1j, c - i3]])
+    s = np.sqrt(s2)
     if s < AXIS_TOL:
         # identity (or 2 pi, if cos_half = -1) rotation: axis is arbitrary
         omega, axis = (0.0 if cos_half > 0 else 2.0 * np.pi), np.array([0.0, 0.0, 1.0])
@@ -248,8 +245,7 @@ def effective_angles(alpha, e_hat: np.ndarray, delta1: float, p1_hat: np.ndarray
     alpha = np.asarray(alpha, dtype=float)
     angles = []
     for delta, p_hat in ((delta1, p1_hat), (delta2, p2_hat)):
-        cross, t, x, r = _half_angle_terms(alpha, e_hat, delta, p_hat)
-        c = np.linalg.norm(cross)
+        cross, c, t, x, r = _half_angle_terms(alpha, e_hat, delta, p_hat)
         # collinear directions give the identity, also where x and r both vanish
         omega = (2.0 * np.arctan2(t * c / r, x / r) if c >= AXIS_TOL
                  else np.zeros(alpha.shape))

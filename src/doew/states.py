@@ -135,14 +135,16 @@ class MixtureWeights:
 
     @classmethod
     def from_mapping(cls, mapping: dict, parity: str = "free") -> "MixtureWeights":
-        """Build from a sparse {index: weight} mapping with 1-based keys."""
-        q = np.zeros(16)
+        """Build from a sparse {index: real weight} mapping, 1-based keys, each index once."""
+        q = {}
         for key, value in mapping.items():
             i = int(key)
-            if not 1 <= i <= 16:
-                raise ValueError(f"weight index must be 1..16, got {key!r}")
-            q[i - 1] = float(value)
-        return cls(q, parity)
+            if not 1 <= i <= 16 or i in q:
+                raise ValueError(f"weight index must be 1..16, each once, got {key!r}")
+            if isinstance(value, (bool, str)):   # float() would take True and "0.5"
+                raise ValueError(f"weight {key!r} must be a number, got {value!r}")
+            q[i] = float(value)
+        return cls(np.array([q.get(i, 0.0) for i in range(1, 17)]), parity)
 
     @classmethod
     def odd(cls, mapping: dict) -> "MixtureWeights":

@@ -4,7 +4,8 @@ Each is the straightforward form of a fixed linear map: the Bell recipe
 evaluated state by state, einsum contractions with the operator basis, and
 the filter as a Kronecker product of the single-particle attenuation.  The
 Wigner rotation is also composed from 4x4 Lorentz matrices, a second oracle
-beside the library's 2x2 spinor one.
+beside the library's 2x2 spinor one, and its 2x2 matrix is summed over the
+Pauli matrices.
 """
 
 import numpy as np
@@ -129,3 +130,14 @@ def lorentz_wigner_oracle(alpha: float, e_hat: np.ndarray,
     # D = w I + i sigma.v corresponds to v = -(the quaternion vector part of R)
     v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / (4 * w)
     return float(w), -v
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def pauli_sum_matrix(cos_half: float, sin_axis: np.ndarray) -> np.ndarray:
+    """D = cos(Omega/2) I + i sum_k sin_axis_k sigma_k, one Pauli matrix at a time."""
+    d = cos_half * np.eye(2, dtype=complex)
+    for k in range(3):
+        d += 1j * sin_axis[k] * PAULI[k]
+    return d

@@ -49,9 +49,7 @@ def test_state_phi3_at_zero_angle(capsys):
 
 
 def test_state_rejects_out_of_range_index(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["state", "--phi", "17"])
-    assert exc.value.code == 2
+    expect_usage_error(capsys, ["state", "--phi", "17"], "--phi")
 
 
 def test_rho_reports_spectrum(tmp_path, capsys):
@@ -310,7 +308,8 @@ def test_config_values_must_match_flag_types(tmp_path, capsys, command, config, 
 
 
 @pytest.mark.parametrize("flag, value", [("e", "0,0,0"), ("e", "nan,0,1"),
-                                         ("p1", "0,0,0"), ("p2", "inf,0,0")])
+                                         ("p1", "0,0,0"), ("p2", "inf,0,0"),
+                                         ("e", "a,b,c"), ("e", "1,2")])
 def test_boost_rejects_degenerate_vectors(capsys, flag, value):
     expect_usage_error(capsys, ["boost", "--alpha", "1", f"--{flag}={value}"], f"{value!r}")
 
@@ -441,3 +440,72 @@ def test_memory_error_is_a_computation_error(capsys, monkeypatch):
     assert out == ""
     assert err == ("computation error: Unable to allocate 745. GiB for an array with "
                    "shape (100000000000,) and data type float64\n")
+
+
+@pytest.mark.parametrize("text, mention", [
+    ('{"q": {"1": true}, "parity": "odd"}', "True"),
+    ('{"q": {"1": "1.0"}, "parity": "odd"}', "'1.0'"),
+    ('{"q": {"1": 0.2, "01": 0.5, "3": 0.5}, "parity": "odd"}', "'01'"),
+    ('{"q": {"1": 1.0}, "Parity": "odd"}', "'Parity'"),
+    ('{"q": {"1": 1%s}, "parity": "odd"}' % ("0" * 400), "too large"),
+], ids=["bool", "string", "repeated-index", "unknown-key", "huge-integer"])
+def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, mention):
+    # each of these files was once read as some other weights, or crashed
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    expect_usage_error(capsys, ["ppt", "--weights", str(path)], mention)
+
+
+@pytest.mark.parametrize("argv, mention", [
+    (["state"], "required: --phi"),
+    (["state", "--phi", "1", "--bogus"], "--bogus"),
+    (["sweep", "--parameter", "beta", "--start", "0", "--stop", "1", "--steps", "3"],
+     "--parameter"),
+    (["sweep", "--parameter", "q1", "--start", "0", "--stop", "0.5", "--steps", "3",
+      "--seed", "1.5"], "--seed"),
+    ([], "required: command"),
+], ids=["missing-flag", "unknown-flag", "bad-choice", "non-integer-seed", "no-command"])
+def test_argparse_usage_errors_are_one_line(capsys, argv, mention):
+    expect_usage_error(capsys, argv, mention)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])
+def test_help_and_version_still_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, weights, mention", [
+    (["--parameter", "alpha", "--start", "0", "--stop", "1"], None, "--weights"),
+    (["--parameter", "theta2", "--start", "0", "--stop", "1"], ({1: 0.5, 2: 0.5}, "free"),
+     "odd-parity"),
+    (["--parameter", "theta1", "--start", "0", "--stop", "1"], ({2: 1.0}, "even"),
+     "odd-parity"),
+    (["--parameter", "q1", "--start", "0", "--stop", "0.6"], None, "[0, 0.5]"),
+], ids=["alpha-without-weights", "free-weights", "even-weights", "q1-past-half"])
+def test_sweep_refuses_what_it_cannot_sweep(tmp_path, capsys, argv, weights, mention):
+    if weights:
+        argv = argv + ["--weights", write_weights(tmp_path, *weights)]
+    expect_usage_error(capsys, ["sweep", *argv, "--steps", "5"], mention)
+
+
+def test_unknown_config_key_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta3": 1.0}))
+    expect_usage_error(capsys, ["measure", "--weights", write_weights(tmp_path, ACCEPTANCE),
+                                "--config", str(cfg)], "'theta3'")
+
+
+def test_weights_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[0.4, 0.2, 0.2, 0.2]")
+    expect_usage_error(capsys, ["rho", "--weights", str(path)], "JSON object")
+
+
+def test_measure_of_the_edge_state_itself_is_zero(tmp_path, capsys):
+    # the edge mixture coincides with the edge state: no witness direction exists
+    code, out, err = run(capsys, "measure", "--weights", write_weights(tmp_path, EDGE))
+    assert code == 0 and err == ""
+    assert json.loads(out)["hs_measure_to_edge"] == 0.0

@@ -7,6 +7,8 @@ from doew import (MixtureWeights, build_mixture, closed_form_momentum_pt,
                   detect, edge_state, edge_weights, effective_boost_mixture,
                   feasible_region_check, momentum_label_pt_spectrum, phi_state,
                   ppt_spectrum)
+from doew.cli import fr_companion_weights
+from doew.ppt import feasible_family
 
 
 def test_maximally_mixed_spectrum():
@@ -116,6 +118,20 @@ def test_edge_state_other_directions():
         assert abs(w.weight(direction) - 0.25) < 1e-15
         assert feasible_region_check(w).is_ppt
         assert ppt_spectrum(edge_state(direction), "A").min() > -1e-10
+
+
+def test_feasible_family_is_feasible_up_to_the_edge():
+    q = np.linspace(0.0, 0.5, 21)
+    stack = feasible_family(q, 9)
+    for value, row in zip(q, stack.q):
+        single = feasible_family(value, 9)
+        assert np.array_equal(single.q, row)
+        assert single.weight(9) == single.weight(13) == value
+        assert feasible_region_check(single).is_ppt == (value <= 0.25)
+    # the edge is the family at 1/4, bit for bit (0.5 / 6 == 1 / 12)
+    for direction in (1, 3, 9, 11):
+        assert np.array_equal(edge_weights(direction).q, feasible_family(0.25, direction).q)
+    assert np.array_equal(edge_weights(1).q, fr_companion_weights(0.25).q)
 
 
 def test_edge_state_invalid_direction():

@@ -6,7 +6,9 @@ the angle 2 atan2(|sin(Omega/2) n|, cos(Omega/2)) of the scalar
 ``MixtureWeights`` must agree with a loop over single rows, and a stack must
 be rejected exactly when one of its rows would be.  The spinor oracle must
 agree with the closed form whenever it does not refuse, and the partial
-transpose and the filter must keep their algebraic identities on stacks.
+transpose and the filter must keep their algebraic identities on stacks.  The
+closed-form witness value and coefficient table must match the SVD witness,
+also within 1e-9 of every tie, and the table must refuse exactly at its ties.
 """
 
 import numpy as np
@@ -14,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doew import (MixtureWeights, effective_angles, effective_boost_mixture,
-                  entropy_formula, mixtures, partial_transpose,
-                  relativistic_witness_value, wigner_half_angle,
-                  wigner_rotation_oracle)
+from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
+                  coefficient_table, correlation_matrix, effective_angles,
+                  effective_boost_mixture, entropy_formula, mixtures,
+                  partial_transpose, relativistic_witness_value,
+                  wigner_half_angle, wigner_rotation_oracle, witness_min_value)
 from doew.relativity import AXIS_TOL, LORENTZ_TOL
+from doew.witness import _B_SIGNS, TIE_TOL
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -215,3 +219,57 @@ def test_equal_filter_angles_return_the_input(angles, seed):
     assert np.max(np.abs(effective_boost_mixture(rho, theta, theta) - rho)) <= 1e-12
     single = effective_boost_mixture(rho[0], angles[0], angles[0])
     assert np.max(np.abs(single - rho[0])) <= 1e-12
+
+
+#: each row: the signs over the eight odd weights of one of b1 - b2, b3 +/- b4,
+#: b5 +/- b6, b7 +/- b8, the combinations whose vanishing is a tie (b1 + b2 = 1)
+TIE_FORMS = np.array([_B_SIGNS[k] + sign * _B_SIGNS[k + 1]
+                      for k in (0, 2, 4, 6) for sign in (1, -1)][1:])
+
+#: a tie combination's value: exact, inside TIE_TOL, just outside, within 1e-9
+TIE_OFFSET = st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, 100.0, -1000.0]).map(
+    lambda x: x * TIE_TOL)
+
+
+@st.composite
+def odd_weights(draw):
+    """Odd weights: generic, on a small integer lattice (where exact and double
+    ties are common), or with one tie combination set within 1e-9 of zero."""
+    kind = draw(st.sampled_from(["generic", "lattice", "near_tie"]))
+    if kind == "lattice":
+        x = np.array(draw(st.lists(st.integers(0, 3), min_size=8, max_size=8)), float)
+    else:
+        x = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8)))
+    x = x / x.sum() if x.sum() else np.eye(8)[0]
+    if kind == "near_tie":
+        # rescale the + and - halves of the form so that it takes the value eps
+        form, eps = TIE_FORMS[draw(st.integers(0, len(TIE_FORMS) - 1))], draw(TIE_OFFSET)
+        plus, minus = form > 0, form < 0
+        x[plus] *= (1.0 + eps) / 2 / x[plus].sum()
+        x[minus] *= (1.0 - eps) / 2 / x[minus].sum()
+    q = np.zeros(16)
+    q[0::2] = x
+    return MixtureWeights(q / q.sum(), "odd")
+
+
+@SETTINGS
+@given(odd_weights(), ANGLE, ANGLE)
+def test_closed_form_witness_value_matches_the_svd(weights, theta1, theta2):
+    rho = effective_boost_mixture(build_mixture(weights), theta1, theta2)
+    closed = relativistic_witness_value(weights, theta1, theta2)
+    assert abs(closed - witness_min_value(rho)) <= 1e-9
+
+
+@SETTINGS
+@given(odd_weights(), ANGLE, ANGLE)
+def test_coefficient_table_refuses_exactly_at_a_tie(weights, theta1, theta2):
+    b1, b2, _, _, b5, b6, b7, b8 = b_coefficients(weights)
+    tied = [(abs(s) <= TIE_TOL) != (abs(d) <= TIE_TOL)
+            for s, d in ((b1 + b2, b1 - b2), (b5 + b6, b5 - b6), (b7 + b8, b7 - b8))]
+    if any(tied):
+        with pytest.raises(TieError):
+            coefficient_table(weights)
+        return
+    rho = effective_boost_mixture(build_mixture(weights), theta1, theta2)
+    value = 1.0 + np.sum(coefficient_table(weights) * correlation_matrix(rho))
+    assert abs(value - witness_min_value(rho)) <= 1e-9

@@ -8,7 +8,7 @@ from doew import (MixtureWeights, boost_mixture, boost_pure, build_mixture,
                   effective_boost_pure, entropy_pure, phi_state,
                   single_particle_boost_unitary, wigner_half_angle,
                   wigner_matrix, wigner_rotation_oracle)
-from oracles import lorentz_wigner_oracle, standard_boost_to
+from oracles import lorentz_wigner_oracle, pauli_sum_matrix, standard_boost_to
 
 EZ = np.array([0.0, 0.0, 1.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -124,6 +124,19 @@ def test_wigner_matrix_unitary_det_one(rng):
         rebuilt = wigner_matrix(np.cos(rot.omega / 2),
                                 np.sin(rot.omega / 2) * rot.axis)
         assert np.max(np.abs(rebuilt.matrix - d)) < 1e-12
+
+
+def test_wigner_matrix_is_the_pauli_sum_bit_for_bit(rng):
+    # boost prints d_matrix, signed zeros included; half angles have cos > 0
+    cases = [(0.6, np.array([0.0, -0.0, -0.8])), (0.0, np.array([-0.0, 1.0, 0.0]))]
+    for k in range(600):
+        e, p = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+        e, p = [(e, p), (e, e), (e, -e), (EZ, np.array([0.0, -0.6, 0.8])),
+                (EZ, np.array([0.0, 0.6, -0.8])), (EY, EZ)][k % 6]
+        alpha, delta = rng.uniform(0, 12, 2) * (k % 7 != 0)
+        cases.append(wigner_half_angle(alpha, e, delta, p))
+    for c, s in cases:
+        assert wigner_matrix(c, s).matrix.tobytes() == pauli_sum_matrix(c, s).tobytes()
 
 
 def test_wigner_matrix_rejects_bad_normalization():
