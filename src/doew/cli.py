@@ -14,9 +14,7 @@ file may hold the same keys as the flags; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -25,9 +23,8 @@ import numpy as np
 
 from . import __version__
 from .linalg import partial_trace
-from .measures import (doew_from_edge, entropy_formula, entropy_pure,
-                       generalized_concurrence, hs_distance,
-                       relativistic_witness_value)
+from .measures import (entropy_formula, entropy_pure, generalized_concurrence,
+                       hs_distance, relativistic_witness_value)
 from .ppt import (closed_form_momentum_pt, edge_state, feasible_family,
                   feasible_region_check, momentum_label_pt_spectrum, ppt_spectrum)
 from .relativity import (effective_angles, effective_boost_mixture,
@@ -110,8 +107,11 @@ def _parse_vec(text: str) -> np.ndarray:
 def _write(text: str, out: str | None) -> None:
     """Write text to the file out, or to stdout when out is not given."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -134,17 +134,17 @@ def cmd_state(args) -> dict:
     }
 
 
-def _load_state(args) -> tuple[MixtureWeights, np.ndarray]:
-    """The --weights mixture at --theta, filtered at --theta1/--theta2."""
+def _load_state(args, theta: float = BELL_TYPE_ANGLE) -> tuple[MixtureWeights, np.ndarray]:
+    """The --weights mixture at mixing angle theta, filtered at --theta1/--theta2."""
     weights = _load_weights(args.weights)
-    rho = build_mixture(weights, args.theta)
+    rho = build_mixture(weights, theta)
     if args.theta1 or args.theta2:
         rho = effective_boost_mixture(rho, args.theta1, args.theta2)
     return weights, rho
 
 
 def cmd_rho(args) -> dict:
-    weights, rho = _load_state(args)
+    weights, rho = _load_state(args, args.theta)
     doc = {
         "parity": weights.parity,
         "theta": args.theta,
@@ -188,7 +188,7 @@ def cmd_boost(args) -> dict:
 
 
 def cmd_ppt(args) -> dict:
-    weights, rho = _load_state(args)
+    weights, rho = _load_state(args, args.theta)
     spec_a = ppt_spectrum(rho, "A")
     spec_b = ppt_spectrum(rho, "B")
     doc = {
@@ -240,18 +240,13 @@ def cmd_witness(args) -> dict:
 
 def cmd_measure(args) -> dict:
     weights, rho = _load_state(args)
-    edge = edge_state(1, args.theta)
-    try:
-        _, measure = doew_from_edge(rho, edge)
-    except ValueError:
-        measure = 0.0   # coincident with the edge state
     doc = {
         "theta1": args.theta1,
         "theta2": args.theta2,
-        "hs_measure_to_edge": measure,
+        "hs_measure_to_edge": hs_distance(edge_state(1), rho),
         "entropy_bits_formula": entropy_formula(args.theta1, args.theta2),
         "boosted_phi1_entropy_bits": entropy_pure(
-            effective_boost_pure(phi_state(1, args.theta), args.theta1, args.theta2)
+            effective_boost_pure(phi_state(1), args.theta1, args.theta2)
         ).entropy_bits,
         "concurrence": asdict(generalized_concurrence(args.theta1, args.theta2)),
     }
@@ -321,27 +316,24 @@ def build_sweep_rows(args) -> list[dict]:
 
 def cmd_sweep(args) -> None:
     rows = build_sweep_rows(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([row["parameter"]] + [_fmt(row[c]) for c in CSV_COLUMNS[1:]])
-    _write(buf.getvalue(), args.out)
-    if args.record:
+    if args.record:   # first, so that a record it cannot write leaves stdout empty
         _emit({
             "seed": args.seed,
             "inputs": {k: v for k, v in vars(args).items()
                        if k not in ("func", "record", "out", "config")},
             "rows": rows,
         }, args.record)
+    lines = [CSV_COLUMNS, *([row["parameter"], *(_fmt(row[c]) for c in CSV_COLUMNS[1:])]
+                            for row in rows)]
+    _write("".join(",".join(line) + "\n" for line in lines), args.out)
 
 
 # ------------------------------------------------------------------- parsing
 
 _WEIGHTS = {"--weights": dict(required=True, help="weights JSON file")}
-_ANGLES = {
-    "--theta": dict(type=float, default=BELL_TYPE_ANGLE,
-                    help="mixing angle of the state family (default pi/4)"),
+_THETA = {"--theta": dict(type=float, default=BELL_TYPE_ANGLE,
+                          help="mixing angle of the state family (default pi/4)")}
+_FILTER = {
     "--theta1": dict(type=float, default=0.0,
                      help="effective rotation angle of momentum sector 1"),
     "--theta2": dict(type=float, default=0.0,
@@ -350,18 +342,18 @@ _ANGLES = {
 _COMMON = {
     "--config": dict(help="JSON file of default flag values"),
     "--out": dict(help="write JSON/CSV to this file instead of stdout"),
-    "--seed": dict(type=int, default=DEFAULT_SEED,
-                   help=f"seed for all sampling (default {DEFAULT_SEED})"),
 }
+_SEED = {"--seed": dict(type=int, default=DEFAULT_SEED,
+                        help=f"seed for all sampling (default {DEFAULT_SEED})")}
 
 #: subcommand -> (handler, help, flags before the common ones)
 COMMANDS = {
     "state": (cmd_state, "print one entangled basis state", {
         "--phi": dict(type=int, required=True, choices=range(1, 17), metavar="1..16"),
-        "--theta": dict(type=float, default=BELL_TYPE_ANGLE)}),
+        **_THETA}),
     "rho": (cmd_rho, "build a mixture and report its spectrum", {
         **_WEIGHTS, "--full": dict(action="store_true", help="include the full matrix"),
-        **_ANGLES}),
+        **_THETA, **_FILTER}),
     "boost": (cmd_boost, "Wigner rotation data for two particles", {
         "--alpha": dict(type=float, required=True, help="observer rapidity"),
         "--e": dict(default="0,0,1", help="boost direction (comma separated)"),
@@ -370,28 +362,28 @@ COMMANDS = {
         "--delta2": dict(type=float, default=2.0),
         "--p2": dict(default="0,0.8660254037844386,-0.5")}),
     "ppt": (cmd_ppt, "partial-transpose spectra and feasible region",
-            {**_WEIGHTS, **_ANGLES}),
+            {**_WEIGHTS, **_THETA, **_FILTER}),
     "witness": (cmd_witness, "construct the optimal witness", {
         **_WEIGHTS, "--floor-samples": dict(type=int, default=0, help=(
             "also sample the separable-state floor with this many states")),
-        **_ANGLES}),
+        **_FILTER, **_SEED}),
     "measure": (cmd_measure, "entanglement measures for a mixture",
-                {**_WEIGHTS, **_ANGLES}),
+                {**_WEIGHTS, **_FILTER}),
     "sweep": (cmd_sweep, "sweep one parameter and emit CSV", {
         "--parameter": dict(required=True, choices=("theta1", "theta2", "alpha", "q1")),
         "--start": dict(type=float, required=True),
         "--stop": dict(type=float, required=True),
         "--steps": dict(type=int, required=True),
         "--weights": dict(help="weights JSON (theta/alpha sweeps)"),
-        "--theta1": dict(type=float, default=0.0),
-        "--theta2": dict(type=float, default=0.0),
+        **_FILTER,
         "--delta1": dict(type=float, default=2.0,
                          help="particle 1 rapidity for alpha sweeps"),
         "--delta2": dict(type=float, default=2.0),
         "--chi1": dict(type=float, default=np.pi / 3,
                        help="particle 1 momentum polar angle (yz-plane)"),
         "--chi2": dict(type=float, default=2 * np.pi / 3),
-        "--record": dict(help="write a reproducible run record JSON here")}),
+        "--record": dict(help="write a reproducible run record JSON here"),
+        **_SEED}),
 }
 
 
@@ -442,9 +434,11 @@ def _check_flag_types(args: argparse.Namespace) -> None:
     for flag, kwargs in {**COMMANDS[args.command][2], **_COMMON}.items():
         kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
         need, ok = _FLAG_RULES[kind]
-        value = getattr(args, flag[2:].replace("-", "_"))
+        dest = flag[2:].replace("-", "_")
+        value = getattr(args, dest)
         if not ok(value):
             raise UsageError(f"{flag} must be {need}, got {value!r}")
+        setattr(args, dest, float(value) if kind is float else value)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -276,8 +276,8 @@ FLOAT_FLAGS = [("sweep", f) for f in ("start", "stop", "theta1", "theta2",
                                       "delta1", "delta2", "chi1", "chi2")]
 FLOAT_FLAGS += [("state", "theta"), ("boost", "alpha"), ("boost", "delta1"),
                 ("boost", "delta2")]
-FLOAT_FLAGS += [(c, f) for c in ("rho", "ppt", "witness", "measure")
-                for f in ("theta", "theta1", "theta2")]
+FLOAT_FLAGS += [(c, f) for c in ("rho", "ppt") for f in ("theta", "theta1", "theta2")]
+FLOAT_FLAGS += [(c, f) for c in ("witness", "measure") for f in ("theta1", "theta2")]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -509,3 +509,68 @@ def test_measure_of_the_edge_state_itself_is_zero(tmp_path, capsys):
     code, out, err = run(capsys, "measure", "--weights", write_weights(tmp_path, EDGE))
     assert code == 0 and err == ""
     assert json.loads(out)["hs_measure_to_edge"] == 0.0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("witness", "--theta", "0.3"), ("measure", "--theta", "0.3"),
+    *[(c, "--seed", "1") for c in ("state", "rho", "boost", "ppt", "measure")]])
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, command, flag, value):
+    # witness and measure fix the Bell-type angle of their closed forms, and
+    # only witness and sweep have a seed to use
+    flags = [f"--{k}={v}" for k, v in base_flags(tmp_path, command).items()]
+    expect_usage_error(capsys, [command, *flags, flag, value], flag)
+
+
+#: one value per flag, other than its default or base value
+ALTERNATES = {"--phi": "2", "--theta": "0.3", "--theta1": "0.5", "--theta2": "0.7",
+              "--full": None, "--weights": EDGE, "--alpha": "2", "--e": "1,0,0",
+              "--delta1": "1", "--delta2": "1", "--p1": "1,0,0", "--p2": "0,1,0",
+              "--floor-samples": "100", "--seed": "9"}
+
+#: flags whose effect needs another flag
+NEEDS = {("witness", "--seed"): ["--floor-samples", "100"]}
+
+JSON_COMMANDS = [c for c in cli.COMMANDS if c != "sweep"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c in JSON_COMMANDS for f in {**cli.COMMANDS[c][2], **cli._COMMON}
+    if f not in ("--out", "--config")])
+def test_every_flag_changes_the_output(tmp_path, capsys, command, flag):
+    # a flag that leaves the output as it is does nothing a user can see
+    assert flag in ALTERNATES, f"no alternate value for {flag}"
+    value = ALTERNATES[flag]
+    if flag == "--weights":
+        value = write_weights(tmp_path, value, name="alt.json")
+    base = {f"--{k}": v for k, v in base_flags(tmp_path, command).items()}
+    outputs = []
+    for flags in (base, {**base, flag: value}):
+        argv = [x for kv in flags.items() for x in kv if x is not None]
+        code, out, err = run(capsys, command, *NEEDS.get((command, flag), []), *argv)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--phi", "1", "--out"],
+    ["sweep", "--parameter", "q1", "--start", "0", "--stop", "0.5", "--steps", "3", "--record"],
+], ids=["out", "record"])
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    # a sweep writes its record before its CSV, so stdout stays empty
+    expect_usage_error(capsys, [*argv, str(tmp_path / "missing" / "x.json")], "cannot write")
+
+
+def test_config_floats_are_echoed_as_floats(tmp_path, capsys):
+    wpath = write_weights(tmp_path, ACCEPTANCE)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta1": 1}))
+    by_flag = run(capsys, "measure", "--weights", wpath, "--theta1", "1")
+    assert run(capsys, "measure", "--weights", wpath, "--config", str(cfg)) == by_flag
+    cfg.write_text(json.dumps({"delta1": 3}))
+    record = tmp_path / "record.json"
+    code, _, _ = run(capsys, "sweep", "--parameter", "alpha", "--start", "0", "--stop", "1",
+                     "--steps", "3", "--weights", wpath, "--config", str(cfg),
+                     "--record", str(record))
+    assert code == 0
+    assert type(json.loads(record.read_text())["inputs"]["delta1"]) is float

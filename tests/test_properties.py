@@ -9,6 +9,8 @@ agree with the closed form whenever it does not refuse, and the partial
 transpose and the filter must keep their algebraic identities on stacks.  The
 closed-form witness value and coefficient table must match the SVD witness,
 also within 1e-9 of every tie, and the table must refuse exactly at its ties.
+The Hilbert-Schmidt distance to the edge state that ``doew measure`` prints
+must be the measure of the DOEW construction, also within 1e-12 of the edge.
 """
 
 import numpy as np
@@ -17,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
-                  coefficient_table, correlation_matrix, effective_angles,
-                  effective_boost_mixture, entropy_formula, mixtures,
-                  partial_transpose, relativistic_witness_value,
+                  coefficient_table, correlation_matrix, doew_from_edge,
+                  edge_state, edge_weights, effective_angles,
+                  effective_boost_mixture, entropy_formula, hs_distance,
+                  mixtures, partial_transpose, relativistic_witness_value,
                   wigner_half_angle, wigner_rotation_oracle, witness_min_value)
+from doew.measures import COINCIDENCE_TOL
 from doew.relativity import AXIS_TOL, LORENTZ_TOL
 from doew.witness import _B_SIGNS, TIE_TOL
 
@@ -273,3 +277,29 @@ def test_coefficient_table_refuses_exactly_at_a_tie(weights, theta1, theta2):
     rho = effective_boost_mixture(build_mixture(weights), theta1, theta2)
     value = 1.0 + np.sum(coefficient_table(weights) * correlation_matrix(rho))
     assert abs(value - witness_min_value(rho)) <= 1e-9
+
+
+@st.composite
+def near_edge_weights(draw):
+    """Odd weights: those of ``odd_weights``, or the edge weights with each odd
+    weight moved by at most 1e-12 (zero included)."""
+    if draw(st.booleans()):
+        return draw(odd_weights())
+    shift = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    q = edge_weights().q.copy()
+    q[0::2] += draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-12])) * shift
+    return MixtureWeights(q / q.sum(), "odd")
+
+
+@SETTINGS
+@given(near_edge_weights(), st.one_of(st.just(0.0), ANGLE), st.one_of(st.just(0.0), ANGLE))
+def test_hs_distance_to_the_edge_is_the_doew_measure(weights, theta1, theta2):
+    rho = effective_boost_mixture(build_mixture(weights), theta1, theta2)
+    edge = edge_state(1)
+    distance = hs_distance(edge, rho)
+    try:
+        _, measure = doew_from_edge(rho, edge)
+    except ValueError:
+        assert distance < COINCIDENCE_TOL
+        return
+    assert abs(distance - measure) <= 1e-15
