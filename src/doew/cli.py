@@ -388,7 +388,9 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's own usage errors raise UsageError: one stderr line, exit 2."""
+    """Flags match only in full; usage errors raise UsageError (one stderr line, exit 2)."""
+    __init__ = functools.partialmethod(argparse.ArgumentParser.__init__, allow_abbrev=False)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -464,9 +464,22 @@ def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, ment
     (["sweep", "--parameter", "q1", "--start", "0", "--stop", "0.5", "--steps", "3",
       "--seed", "1.5"], "--seed"),
     ([], "required: command"),
-], ids=["missing-flag", "unknown-flag", "bad-choice", "non-integer-seed", "no-command"])
+    (["sweep", "--param", "q1", "--start", "0", "--stop", "0.5", "--step", "3"],
+     "--parameter"),
+], ids=["missing-flag", "unknown-flag", "bad-choice", "non-integer-seed", "no-command",
+        "flag-prefixes"])
 def test_argparse_usage_errors_are_one_line(capsys, argv, mention):
     expect_usage_error(capsys, argv, mention)
+
+
+@pytest.mark.parametrize("extra, mention", [
+    (["--floor", "5"], "--floor"),
+    (["--se", "3"], "--se"),
+    (["--theta", "0.3"], "unrecognized arguments: --theta"),
+], ids=["floor", "se", "theta"])
+def test_a_flag_prefix_is_not_the_flag(tmp_path, capsys, extra, mention):
+    expect_usage_error(capsys, ["witness", "--weights", write_weights(tmp_path, ACCEPTANCE),
+                                *extra], mention)
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])

@@ -11,7 +11,12 @@ closed-form witness value and coefficient table must match the SVD witness,
 also within 1e-9 of every tie, and the table must refuse exactly at its ties.
 The Hilbert-Schmidt distance to the edge state that ``doew measure`` prints
 must be the measure of the DOEW construction, also within 1e-12 of the edge.
+The separability floor with its skip certificate must be bitwise the floor of
+one ``eigvalsh`` over every partner matrix, and the certificate must never
+pass a matrix whose lowest eigenvalue lies below its shift beyond rounding.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,11 +27,14 @@ from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
                   coefficient_table, correlation_matrix, doew_from_edge,
                   edge_state, edge_weights, effective_angles,
                   effective_boost_mixture, entropy_formula, hs_distance,
-                  mixtures, partial_transpose, relativistic_witness_value,
+                  kkt_witness, mixtures, partial_transpose,
+                  relativistic_witness_value, separability_floor_check,
                   wigner_half_angle, wigner_rotation_oracle, witness_min_value)
+from doew import witness
 from doew.measures import COINCIDENCE_TOL
 from doew.relativity import AXIS_TOL, LORENTZ_TOL
-from doew.witness import _B_SIGNS, TIE_TOL
+from doew.witness import _B_SIGNS, FLOOR_CERT_TOL, TIE_TOL, _above
+from oracles import separability_floor_two_party
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -303,3 +311,70 @@ def test_hs_distance_to_the_edge_is_the_doew_measure(weights, theta1, theta2):
         assert distance < COINCIDENCE_TOL
         return
     assert abs(distance - measure) <= 1e-15
+
+
+@st.composite
+def floor_coefficients(draw):
+    """Coefficient matrices scaled by 10^k, k in [-3, 3]: an optimal witness of
+    a filtered odd mixture, plus or minus a random orthogonal matrix, a
+    rank-deficient matrix, zero, or the flat witness -I moved by 1e-13 to 1e-6,
+    whose partner minima then all lie just above or below the floor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["optimal", "orthogonal", "rank-deficient", "zero",
+                                 "near-flat"]))
+    if kind == "optimal":
+        rho = effective_boost_mixture(build_mixture(draw(odd_weights())), draw(ANGLE),
+                                      draw(ANGLE))
+        A = kkt_witness(rho)[0].A
+    elif kind == "orthogonal":
+        A = draw(st.sampled_from([1.0, -1.0])) * np.linalg.qr(rng.normal(size=(16, 16)))[0]
+    elif kind == "rank-deficient":
+        rank = draw(st.integers(1, 15))
+        A = rng.normal(size=(16, rank)) @ rng.normal(size=(rank, 16)) / 16
+    elif kind == "near-flat":
+        A = -np.eye(16) + 10.0 ** -draw(st.integers(6, 13)) * rng.normal(size=(16, 16))
+    else:
+        A = np.zeros((16, 16))
+    return A * 10.0 ** draw(st.integers(-3, 3))
+
+
+@SETTINGS
+@given(floor_coefficients(), st.integers(0, 2 ** 32 - 1))
+def test_certified_floor_is_bitwise_the_whole_stack_floor(A, seed):
+    # a 64-matrix chunk puts 1, C - 1, C, C + 1 and 2C + 5 samples on every
+    # chunk boundary the floor check has, at a small cost
+    chunk = 64
+    with mock.patch.object(witness, "_FLOOR_CHUNK", chunk):
+        for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+            assert separability_floor_check(A, n, seed) == separability_floor_two_party(A, n, seed)
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """Random Hermitian 4x4 stacks U diag(lambda) U^dag at scales 10^-3 to 10^3,
+    the lowest eigenvalue simple, doubly or triply degenerate, and sometimes 0,
+    with that eigenvalue per matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 64))
+    lam = np.sort(rng.normal(size=(n, 4)), axis=1) * 10.0 ** draw(st.integers(-3, 3))
+    lam[:, 1:draw(st.integers(1, 3))] = lam[:, :1]
+    if draw(st.booleans()):
+        lam -= lam[:, :1]
+    u = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))[0]
+    m = (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    return (m + m.conj().transpose(0, 2, 1)) / 2, lam[:, 0]
+
+
+@SETTINGS
+@given(hermitian_stacks(), st.sampled_from([0.0, 1e-16, 1e-15, 1e-14]))
+def test_the_floor_certificate_is_sound(case, shift):
+    m, lowest = case
+    x = lowest + np.where(np.arange(len(m)) % 2, shift, -shift)
+    passed = _above(m, x)
+    # wherever the pivots of M - x I are positive, eigvalsh puts M above x but for
+    # rounding, and that rounding stays far inside the floor check's margin
+    slack = 32 * np.finfo(float).eps * (1 + np.abs(x) + np.abs(m).max(axis=(1, 2)))
+    assert np.all(np.linalg.eigvalsh(m)[passed, 0] > (x - slack)[passed])
+    assert 32 * np.finfo(float).eps < FLOOR_CERT_TOL / 100
+    # and a shift well below the lowest eigenvalue always certifies
+    assert np.all(_above(m, lowest - 1e-6 * (1 + np.abs(m).max(axis=(1, 2)))))

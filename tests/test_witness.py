@@ -300,6 +300,33 @@ def test_optimized_floor_matches_two_party_draw(seed):
             == separability_floor_two_party(A, 3000, seed)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_floor_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        separability_floor_check(np.eye(16), samples, 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_floor_of_a_non_finite_witness_is_a_linalg_error(value):
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        separability_floor_check(np.full((16, 16), value), 20_000, 1)
+
+
+def test_floor_check_solves_few_partner_matrices(monkeypatch):
+    # the skip certificate leaves eigvalsh under a quarter of the partner
+    # matrices of a witness with isolated contact points; a flat witness, whose
+    # every first party has a partner at the minimum, solves each matrix once
+    sent, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sent.append(len(m)) or eigvalsh(m))
+    rho = build_mixture(random_odd_weights(np.random.default_rng(2)))
+    A = kkt_witness(effective_boost_mixture(rho, 0.4, 1.1))[0].A
+    assert separability_floor_check(A, 100_000, 1) > 1e-8
+    assert sum(sent) <= 25_000
+    sent.clear()
+    assert abs(separability_floor_check(-np.eye(16), 100_000, 1)) < 1e-12
+    assert sum(sent) <= 100_000
+
+
 def test_random_product_states_shapes():
     a, b = random_product_states(5, 0)
     assert a.shape == b.shape == (5, 4)
