@@ -7,8 +7,7 @@ the same output as point by point).  Exit codes: 0 success, 1
 computation-domain error, 2 usage or parse error.
 
 Weights files are JSON of the form {"q": {"1": 0.4, "3": 0.2, ...},
-"parity": "odd"} with 1-based indices; missing indices are zero.  A --config
-file may hold the same keys as the flags; explicit flags win.
+"parity": "odd"} with 1-based indices; missing indices are zero.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ def cmd_boost(args) -> dict:
 
 
 def cmd_ppt(args) -> dict:
-    weights, rho = _load_state(args, args.theta)
+    weights, rho = _load_state(args)
     spec_a = ppt_spectrum(rho, "A")
     spec_b = ppt_spectrum(rho, "B")
     doc = {
@@ -317,12 +316,9 @@ def build_sweep_rows(args) -> list[dict]:
 def cmd_sweep(args) -> None:
     rows = build_sweep_rows(args)
     if args.record:   # first, so that a record it cannot write leaves stdout empty
-        _emit({
-            "seed": args.seed,
-            "inputs": {k: v for k, v in vars(args).items()
-                       if k not in ("func", "record", "out", "config")},
-            "rows": rows,
-        }, args.record)
+        _emit({"inputs": {k: v for k, v in vars(args).items()
+                          if k not in ("func", "record", "out")},
+               "rows": rows}, args.record)
     lines = [CSV_COLUMNS, *([row["parameter"], *(_fmt(row[c]) for c in CSV_COLUMNS[1:])]
                             for row in rows)]
     _write("".join(",".join(line) + "\n" for line in lines), args.out)
@@ -330,21 +326,27 @@ def cmd_sweep(args) -> None:
 
 # ------------------------------------------------------------------- parsing
 
+def _finite(text: str) -> float:
+    """The argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 _WEIGHTS = {"--weights": dict(required=True, help="weights JSON file")}
-_THETA = {"--theta": dict(type=float, default=BELL_TYPE_ANGLE,
+_THETA = {"--theta": dict(type=_finite, default=BELL_TYPE_ANGLE,
                           help="mixing angle of the state family (default pi/4)")}
 _FILTER = {
-    "--theta1": dict(type=float, default=0.0,
+    "--theta1": dict(type=_finite, default=0.0,
                      help="effective rotation angle of momentum sector 1"),
-    "--theta2": dict(type=float, default=0.0,
+    "--theta2": dict(type=_finite, default=0.0,
                      help="effective rotation angle of momentum sector 2"),
 }
-_COMMON = {
-    "--config": dict(help="JSON file of default flag values"),
-    "--out": dict(help="write JSON/CSV to this file instead of stdout"),
-}
-_SEED = {"--seed": dict(type=int, default=DEFAULT_SEED,
-                        help=f"seed for all sampling (default {DEFAULT_SEED})")}
+_COMMON = {"--out": dict(help="write JSON/CSV to this file instead of stdout")}
 
 #: subcommand -> (handler, help, flags before the common ones)
 COMMANDS = {
@@ -355,35 +357,35 @@ COMMANDS = {
         **_WEIGHTS, "--full": dict(action="store_true", help="include the full matrix"),
         **_THETA, **_FILTER}),
     "boost": (cmd_boost, "Wigner rotation data for two particles", {
-        "--alpha": dict(type=float, required=True, help="observer rapidity"),
+        "--alpha": dict(type=_finite, required=True, help="observer rapidity"),
         "--e": dict(default="0,0,1", help="boost direction (comma separated)"),
-        "--delta1": dict(type=float, default=2.0),
+        "--delta1": dict(type=_finite, default=2.0),
         "--p1": dict(default="0,0.8660254037844386,0.5"),
-        "--delta2": dict(type=float, default=2.0),
+        "--delta2": dict(type=_finite, default=2.0),
         "--p2": dict(default="0,0.8660254037844386,-0.5")}),
     "ppt": (cmd_ppt, "partial-transpose spectra and feasible region",
-            {**_WEIGHTS, **_THETA, **_FILTER}),
+            {**_WEIGHTS, **_FILTER}),
     "witness": (cmd_witness, "construct the optimal witness", {
         **_WEIGHTS, "--floor-samples": dict(type=int, default=0, help=(
             "also sample the separable-state floor with this many states")),
-        **_FILTER, **_SEED}),
+        **_FILTER, "--seed": dict(type=int, default=DEFAULT_SEED,
+                                  help=f"seed for all sampling (default {DEFAULT_SEED})")}),
     "measure": (cmd_measure, "entanglement measures for a mixture",
                 {**_WEIGHTS, **_FILTER}),
     "sweep": (cmd_sweep, "sweep one parameter and emit CSV", {
         "--parameter": dict(required=True, choices=("theta1", "theta2", "alpha", "q1")),
-        "--start": dict(type=float, required=True),
-        "--stop": dict(type=float, required=True),
+        "--start": dict(type=_finite, required=True),
+        "--stop": dict(type=_finite, required=True),
         "--steps": dict(type=int, required=True),
         "--weights": dict(help="weights JSON (theta/alpha sweeps)"),
         **_FILTER,
-        "--delta1": dict(type=float, default=2.0,
+        "--delta1": dict(type=_finite, default=2.0,
                          help="particle 1 rapidity for alpha sweeps"),
-        "--delta2": dict(type=float, default=2.0),
-        "--chi1": dict(type=float, default=np.pi / 3,
+        "--delta2": dict(type=_finite, default=2.0),
+        "--chi1": dict(type=_finite, default=np.pi / 3,
                        help="particle 1 momentum polar angle (yz-plane)"),
-        "--chi2": dict(type=float, default=2 * np.pi / 3),
-        "--record": dict(help="write a reproducible run record JSON here"),
-        **_SEED}),
+        "--chi2": dict(type=_finite, default=2 * np.pi / 3),
+        "--record": dict(help="write a reproducible run record JSON here")}),
 }
 
 
@@ -395,8 +397,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The ``doew`` parser; ``defaults`` (from --config) replace built-in flag defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``doew`` parser."""
     parser = _Parser(
         prog="doew",
         description="Entanglement witnesses for two-particle momentum-spin states")
@@ -406,50 +408,17 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in {**flags, **_COMMON}.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func, **(defaults or {}))
+        p.set_defaults(func=func)
     return parser
 
 
-#: the parser with the built-in defaults, built at first use; --config builds its own
+#: the parser, built at first use
 _shared_parser = functools.cache(build_parser)
-
-
-def _config_defaults(args: argparse.Namespace) -> dict:
-    config = {key.replace("-", "_"): v for key, v in _load_json(args.config).items()}
-    for key in config:
-        if not hasattr(args, key) or key in ("command", "config", "func"):
-            raise UsageError(f"unknown config key {key!r}")
-    return config
-
-
-#: a flag's type -> (what its value must be, test of a value); a --config file
-#: can supply any JSON value, so every flag of the command is checked
-_FLAG_RULES = {
-    float: ("a finite number", lambda v: type(v) in (int, float) and np.isfinite(v)),
-    int: ("an integer", lambda v: type(v) is int),
-    bool: ("true or false", lambda v: type(v) is bool),
-    str: ("a string", lambda v: v is None or type(v) is str),
-}
-
-
-def _check_flag_types(args: argparse.Namespace) -> None:
-    for flag, kwargs in {**COMMANDS[args.command][2], **_COMMON}.items():
-        kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
-        need, ok = _FLAG_RULES[kind]
-        dest = flag[2:].replace("-", "_")
-        value = getattr(args, dest)
-        if not ok(value):
-            raise UsageError(f"{flag} must be {need}, got {value!r}")
-        setattr(args, dest, float(value) if kind is float else value)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        if args.config:
-            # parse again with the file's values as defaults: explicit flags win
-            args = build_parser(_config_defaults(args)).parse_args(argv)
-        _check_flag_types(args)
         doc = args.func(args)
         if doc is not None:   # every command but sweep returns its JSON document
             _emit({"command": args.command, **doc}, args.out)

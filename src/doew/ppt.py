@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import partial_transpose, require_hermitian
 from .relativity import sector_weights
-from .states import BELL_TYPE_ANGLE, MixtureWeights, build_mixture
+from .states import MixtureWeights, build_mixture
 
 FR_TOL = 1e-10
 
@@ -57,16 +57,17 @@ def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,
     are pair sums (q_a + q_b) scaled by c_i^2 / S and pair differences
     +/-(q_a - q_b) scaled by c1 c2 / S; nonnegativity of the difference pairs
     is exactly the four weight equalities.  The values match
-    ``momentum_label_pt_spectrum`` of the unit-trace state.
+    ``momentum_label_pt_spectrum`` of the unit-trace state.  A stack of weights
+    gives one spectrum per weight vector, with scalar angles or one per vector.
     """
     if weights.parity != "odd":
         raise ValueError("closed-form spectrum applies to odd-parity weights")
-    k1, k2, s = sector_weights(theta1, theta2)
+    k1, k2, s = sector_weights(np.asarray(theta1)[..., None], np.asarray(theta2)[..., None])
     c1, c2 = k1 ** 2, k2 ** 2
-    q = weights.q
-    sums, diffs = q[_PAIR_FIRST] + q[_PAIR_SECOND], q[_PAIR_FIRST] - q[_PAIR_SECOND]
+    first, second = weights.q[..., _PAIR_FIRST], weights.q[..., _PAIR_SECOND]
+    sums, diffs = first + second, first - second
     return np.sort(np.concatenate([sums * c1 ** 2 / s, sums * c2 ** 2 / s,
-                                   diffs * c1 * c2 / s, -diffs * c1 * c2 / s]))
+                                   diffs * c1 * c2 / s, -diffs * c1 * c2 / s], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,6 @@ def edge_weights(direction: int = 1) -> MixtureWeights:
     return feasible_family(0.25, direction)
 
 
-def edge_state(direction: int = 1, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
+def edge_state(direction: int = 1) -> np.ndarray:
     """Density matrix of the PPT-boundary mixture (see ``edge_weights``)."""
-    return build_mixture(edge_weights(direction), theta)
+    return build_mixture(edge_weights(direction))

@@ -229,24 +229,10 @@ def test_sweep_deterministic_and_recorded(tmp_path, capsys):
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     rec = json.loads(record.read_text())
-    assert rec["seed"] == 2024
+    assert "seed" not in rec and "seed" not in rec["inputs"]   # a sweep samples nothing
     assert rec["tool_version"]
     assert len(rec["rows"]) == 5
     assert rec["inputs"]["parameter"] == "theta2"
-
-
-def test_config_file_defaults(tmp_path, capsys):
-    wpath = write_weights(tmp_path, {1: 1.0})
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta2": 1.5}))
-    code, out, _ = run(capsys, "measure", "--weights", wpath,
-                       "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["theta2"] == 1.5
-    # explicit flag wins over the config value
-    code, out, _ = run(capsys, "measure", "--weights", wpath,
-                       "--config", str(cfg), "--theta2", "0.5")
-    assert json.loads(out)["theta2"] == 0.5
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -272,12 +258,9 @@ def expect_usage_error(capsys, argv, mention):
     assert out == "" and err.count("\n") == 1 and mention in err
 
 
-FLOAT_FLAGS = [("sweep", f) for f in ("start", "stop", "theta1", "theta2",
-                                      "delta1", "delta2", "chi1", "chi2")]
-FLOAT_FLAGS += [("state", "theta"), ("boost", "alpha"), ("boost", "delta1"),
-                ("boost", "delta2")]
-FLOAT_FLAGS += [(c, f) for c in ("rho", "ppt") for f in ("theta", "theta1", "theta2")]
-FLOAT_FLAGS += [(c, f) for c in ("witness", "measure") for f in ("theta1", "theta2")]
+#: every flag of every command that takes a number other than an integer
+FLOAT_FLAGS = [(c, f[2:]) for c, (_, _, flags) in cli.COMMANDS.items()
+               for f, kwargs in flags.items() if kwargs.get("type") not in (None, int)]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -288,23 +271,6 @@ def test_sweep_rejects_non_finite_flags(tmp_path, capsys, command, flag, value):
     flags = {**base_flags(tmp_path, command), flag: value}
     expect_usage_error(capsys, [command, *[f"--{k}={v}" for k, v in flags.items()]],
                        f"--{flag}")
-
-
-@pytest.mark.parametrize("command, config, flag", [
-    ("rho", {"theta1": [1]}, "--theta1"),
-    ("rho", {"theta2": True}, "--theta2"),
-    ("witness", {"floor_samples": [5]}, "--floor-samples"),
-    ("witness", {"floor_samples": 2.5}, "--floor-samples"),
-    ("witness", {"seed": [1, 2]}, "--seed"),
-    ("rho", {"full": "no"}, "--full"),
-    ("rho", {"out": [1]}, "--out"),
-    ("boost", {"e": 5}, "--e"),
-])
-def test_config_values_must_match_flag_types(tmp_path, capsys, command, config, flag):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    flags = {**base_flags(tmp_path, command), "config": str(cfg)}
-    expect_usage_error(capsys, [command, *[f"--{k}={v}" for k, v in flags.items()]], flag)
 
 
 @pytest.mark.parametrize("flag, value", [("e", "0,0,0"), ("e", "nan,0,1"),
@@ -375,17 +341,6 @@ def test_weights_q_must_be_an_object(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_config_never_overrides_an_explicit_flag(tmp_path, capsys):
-    # an explicit flag wins even when it repeats the built-in default
-    wpath = write_weights(tmp_path, {1: 1.0})
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta2": 1.5}))
-    code, out, _ = run(capsys, "measure", "--weights", wpath,
-                       "--config", str(cfg), "--theta2", "0.0")
-    assert code == 0
-    assert json.loads(out)["theta2"] == 0.0
-
-
 @pytest.mark.parametrize("argv", [["--alpha", "400"], ["--alpha", "700"], ["--alpha", "800"],
                                   ["--alpha", "1e300"], ["--alpha", "1", "--delta1", "800"]])
 def test_boost_huge_rapidity_is_a_domain_error(capsys, argv):
@@ -402,18 +357,6 @@ def test_boost_is_checked_beyond_alpha_plus_delta_of_8(capsys, alpha):
     code, out, err = run(capsys, "boost", "--alpha", alpha)
     assert code == 0 and err == ""
     assert all(p["oracle_residual"] <= 1e-9 for p in json.loads(out)["particles"])
-
-
-def test_config_defaults_never_reach_the_shared_parser(tmp_path, capsys):
-    wpath = write_weights(tmp_path, {1: 1.0})
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta2": 1.5}))
-    code, out, _ = run(capsys, "measure", "--weights", wpath, "--config", str(cfg))
-    assert code == 0 and json.loads(out)["theta2"] == 1.5
-    code, after, _ = run(capsys, "measure", "--weights", wpath)
-    assert code == 0 and json.loads(after)["theta2"] == 0.0
-    cli._shared_parser.cache_clear()
-    assert run(capsys, "measure", "--weights", wpath) == (0, after, "")
 
 
 @pytest.mark.parametrize("stop", ["800", "1e300"])
@@ -461,13 +404,13 @@ def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, ment
     (["state", "--phi", "1", "--bogus"], "--bogus"),
     (["sweep", "--parameter", "beta", "--start", "0", "--stop", "1", "--steps", "3"],
      "--parameter"),
-    (["sweep", "--parameter", "q1", "--start", "0", "--stop", "0.5", "--steps", "3",
-      "--seed", "1.5"], "--seed"),
+    (["witness", "--weights", "w.json", "--seed", "1.5"], "--seed"),
     ([], "required: command"),
     (["sweep", "--param", "q1", "--start", "0", "--stop", "0.5", "--step", "3"],
      "--parameter"),
+    (["boost", "--alpha", "fast"], "--alpha: must be a finite number, got 'fast'"),
 ], ids=["missing-flag", "unknown-flag", "bad-choice", "non-integer-seed", "no-command",
-        "flag-prefixes"])
+        "flag-prefixes", "non-numeric-float"])
 def test_argparse_usage_errors_are_one_line(capsys, argv, mention):
     expect_usage_error(capsys, argv, mention)
 
@@ -504,13 +447,6 @@ def test_sweep_refuses_what_it_cannot_sweep(tmp_path, capsys, argv, weights, men
     expect_usage_error(capsys, ["sweep", *argv, "--steps", "5"], mention)
 
 
-def test_unknown_config_key_is_refused(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta3": 1.0}))
-    expect_usage_error(capsys, ["measure", "--weights", write_weights(tmp_path, ACCEPTANCE),
-                                "--config", str(cfg)], "'theta3'")
-
-
 def test_weights_file_must_hold_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[0.4, 0.2, 0.2, 0.2]")
@@ -525,11 +461,12 @@ def test_measure_of_the_edge_state_itself_is_zero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("witness", "--theta", "0.3"), ("measure", "--theta", "0.3"),
-    *[(c, "--seed", "1") for c in ("state", "rho", "boost", "ppt", "measure")]])
+    ("witness", "--theta", "0.3"), ("measure", "--theta", "0.3"), ("ppt", "--theta", "0.3"),
+    *[(c, "--seed", "1") for c in ("state", "rho", "boost", "ppt", "measure", "sweep")],
+    *[(c, "--config", "cfg.json") for c in cli.COMMANDS]])
 def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, command, flag, value):
-    # witness and measure fix the Bell-type angle of their closed forms, and
-    # only witness and sweep have a seed to use
+    # witness, measure and ppt print closed forms of the Bell-type angle, only
+    # witness has a seed to use, and values come from flags alone
     flags = [f"--{k}={v}" for k, v in base_flags(tmp_path, command).items()]
     expect_usage_error(capsys, [command, *flags, flag, value], flag)
 
@@ -538,17 +475,22 @@ def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, command, fl
 ALTERNATES = {"--phi": "2", "--theta": "0.3", "--theta1": "0.5", "--theta2": "0.7",
               "--full": None, "--weights": EDGE, "--alpha": "2", "--e": "1,0,0",
               "--delta1": "1", "--delta2": "1", "--p1": "1,0,0", "--p2": "0,1,0",
-              "--floor-samples": "100", "--seed": "9"}
+              "--floor-samples": "100", "--seed": "9", "--parameter": "theta1",
+              "--start": "0.1", "--stop": "0.4", "--steps": "4", "--chi1": "0.5",
+              "--chi2": "2.5"}
 
 #: flags whose effect needs another flag
 NEEDS = {("witness", "--seed"): ["--floor-samples", "100"]}
 
-JSON_COMMANDS = [c for c in cli.COMMANDS if c != "sweep"]
+#: the --parameter of the base sweep for each sweep flag: one whose rows read it
+SWEEP_READS = {"--parameter": "theta2", "--theta1": "q1", "--theta2": "q1", "--start": "q1",
+               "--stop": "q1", "--steps": "q1", "--weights": "theta2", "--delta1": "alpha",
+               "--delta2": "alpha", "--chi1": "alpha", "--chi2": "alpha"}
 
 
 @pytest.mark.parametrize("command, flag", [
-    (c, f) for c in JSON_COMMANDS for f in {**cli.COMMANDS[c][2], **cli._COMMON}
-    if f not in ("--out", "--config")])
+    (c, f) for c in cli.COMMANDS for f in {**cli.COMMANDS[c][2], **cli._COMMON}
+    if f not in ("--out", "--record")])
 def test_every_flag_changes_the_output(tmp_path, capsys, command, flag):
     # a flag that leaves the output as it is does nothing a user can see
     assert flag in ALTERNATES, f"no alternate value for {flag}"
@@ -556,6 +498,11 @@ def test_every_flag_changes_the_output(tmp_path, capsys, command, flag):
     if flag == "--weights":
         value = write_weights(tmp_path, value, name="alt.json")
     base = {f"--{k}": v for k, v in base_flags(tmp_path, command).items()}
+    if command == "sweep":
+        assert flag in SWEEP_READS, f"no sweep parameter reads {flag}"
+        base["--parameter"] = SWEEP_READS[flag]
+        if base["--parameter"] != "q1":
+            base["--weights"] = write_weights(tmp_path, ACCEPTANCE)
     outputs = []
     for flags in (base, {**base, flag: value}):
         argv = [x for kv in flags.items() for x in kv if x is not None]
@@ -572,18 +519,3 @@ def test_every_flag_changes_the_output(tmp_path, capsys, command, flag):
 def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
     # a sweep writes its record before its CSV, so stdout stays empty
     expect_usage_error(capsys, [*argv, str(tmp_path / "missing" / "x.json")], "cannot write")
-
-
-def test_config_floats_are_echoed_as_floats(tmp_path, capsys):
-    wpath = write_weights(tmp_path, ACCEPTANCE)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta1": 1}))
-    by_flag = run(capsys, "measure", "--weights", wpath, "--theta1", "1")
-    assert run(capsys, "measure", "--weights", wpath, "--config", str(cfg)) == by_flag
-    cfg.write_text(json.dumps({"delta1": 3}))
-    record = tmp_path / "record.json"
-    code, _, _ = run(capsys, "sweep", "--parameter", "alpha", "--start", "0", "--stop", "1",
-                     "--steps", "3", "--weights", wpath, "--config", str(cfg),
-                     "--record", str(record))
-    assert code == 0
-    assert type(json.loads(record.read_text())["inputs"]["delta1"]) is float

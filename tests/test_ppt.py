@@ -32,6 +32,21 @@ def test_closed_form_matches_momentum_label_spectrum(rng):
         assert np.max(np.abs(numeric - closed)) < 1e-10
 
 
+def test_closed_form_on_a_16_row_stack():
+    # one spectrum per weight vector, not per row of the stacked array
+    stack = feasible_family(np.linspace(0.0, 0.5, 16))
+    t1, t2 = np.linspace(0.0, 2.5, 16), np.linspace(2.8, 0.1, 16)
+    closed = closed_form_momentum_pt(stack, t1, t2)
+    assert closed.shape == (16, 16)
+    numeric = momentum_label_pt_spectrum(effective_boost_mixture(build_mixture(stack), t1, t2))
+    assert np.max(np.abs(numeric - closed)) < 1e-10
+    for n, row in enumerate(stack.q):
+        single = closed_form_momentum_pt(MixtureWeights(row, "odd"), t1[n], t2[n])
+        assert np.max(np.abs(closed[n] - single)) <= 1e-15
+    assert np.array_equal(closed_form_momentum_pt(stack, 0.3, 0.4)[5],
+                          closed_form_momentum_pt(MixtureWeights(stack.q[5], "odd"), 0.3, 0.4))
+
+
 def test_closed_form_difference_pair(rng):
     # the +/-(q1 - q7) pair scales with cos^2(t1/2) cos^2(t2/2)
     w = MixtureWeights.odd({1: 0.6, 7: 0.1, 3: 0.15, 5: 0.15})

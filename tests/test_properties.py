@@ -24,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
-                  coefficient_table, correlation_matrix, doew_from_edge,
-                  edge_state, edge_weights, effective_angles,
+                  closed_form_momentum_pt, coefficient_table, correlation_matrix,
+                  doew_from_edge, edge_state, edge_weights, effective_angles,
                   effective_boost_mixture, entropy_formula, hs_distance,
                   kkt_witness, mixtures, partial_transpose,
                   relativistic_witness_value, separability_floor_check,
@@ -178,12 +178,15 @@ def test_closed_forms_broadcast_like_a_row_loop(grid):
     stack = MixtureWeights(q, "odd")
     closed = relativistic_witness_value(stack, theta1, theta2)
     entropy = entropy_formula(theta1, theta2)
+    spectra = closed_form_momentum_pt(stack, theta1, theta2)
     assert closed.shape == entropy.shape == theta1.shape
+    assert spectra.shape == theta1.shape + (16,)
     for n, row in enumerate(q):
         single = MixtureWeights(row, "odd")
         assert np.array_equal(stack.q[n], single.q)
         t1, t2 = float(theta1[n]), float(theta2[n])
         assert abs(closed[n] - relativistic_witness_value(single, t1, t2)) <= 1e-15
+        assert np.max(np.abs(spectra[n] - closed_form_momentum_pt(single, t1, t2))) <= 1e-15
         assert abs(entropy[n] - entropy_formula(t1, t2)) <= 1e-15
         if equal[n]:
             assert entropy[n] == 2.0
