@@ -9,8 +9,7 @@ works with.
 
 import numpy as np
 
-from doew import (MixtureWeights, build_mixture, one_particle_bell, phi_state,
-                  two_particle_momenta)
+from doew import MixtureWeights, build_mixture, one_particle_bell, phi_state
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
@@ -22,7 +21,8 @@ print("\nThe Bell-type state phi_1 at theta = pi/4 has amplitude 1/2 on the")
 print("four equal-momentum, equal-spin kets:")
 v = phi_state(1)
 for k in np.nonzero(np.abs(v) > 1e-12)[0]:
-    ma, mb = two_particle_momenta(k)
+    # ket k = 4a + b; single-particle index a carries momentum label 1 + a // 2
+    ma, mb = 1 + k // 8, 1 + k % 4 // 2
     print(f"  ket {k:2d}  (momenta p{ma}, p{mb})  amplitude {v[k].real:+.3f}")
 
 print("\nGram matrix of all sixteen states (should be the identity):")
@@ -36,8 +36,7 @@ print("mix momenta:")
 for i in (1, 2, 9, 10):
     v = phi_state(i)
     support = np.nonzero(np.abs(v) > 1e-12)[0]
-    kinds = {"same" if two_particle_momenta(k)[0] == two_particle_momenta(k)[1]
-             else "cross" for k in support}
+    kinds = {"same" if k // 8 == k % 4 // 2 else "cross" for k in support}
     print(f"  phi_{i:<2d} support: {sorted(support)}  -> {sorted(kinds)}")
 
 print("\nA mixture of odd states: rho = 0.4 phi_1 + 0.2 (phi_3 + phi_5 + phi_7)")

@@ -29,7 +29,7 @@ def describe(weights, label):
 
 describe(MixtureWeights.odd({i: 1 / 8 for i in range(1, 17, 2)}), "uniform odd mixture")
 describe(MixtureWeights.odd({1: 1.0}), "pure phi_1")
-describe(edge_weights(1), "edge configuration (q1 = q7 = 1/4)")
+describe(edge_weights(), "edge configuration (q1 = q7 = 1/4)")
 
 print("\nThe closed-form momentum-label transpose spectrum matches the")
 print("numerical eigensolve entry for entry, at rest and under the filter:")
@@ -44,9 +44,9 @@ for t1, t2 in ((0.0, 0.0), (0.8, 1.9)):
 print("\nThe edge state touches the reference witness hyperplane:")
 v = phi_state(1)
 w_ref = np.eye(16) - 4 * np.outer(v, v.conj())
-print(f"  Tr(W rho_edge) = {detect(w_ref, edge_state(1)):+.2e}")
+print(f"  Tr(W rho_edge) = {detect(w_ref, edge_state()):+.2e}")
 print(f"  min PT eigenvalue of the edge state: "
-      f"{ppt_spectrum(edge_state(1), 'A').min():+.2e}")
+      f"{ppt_spectrum(edge_state(), 'A').min():+.2e}")
 
 print("\nSweeping q1 = q7 along the feasible family, the witness value 1 - 4 q1")
 print("crosses zero exactly where the PPT bound saturates:")

@@ -26,7 +26,7 @@ from .relativity import (WignerRotation, boost_mixture, boost_pure,
                          wigner_matrix, wigner_rotation_oracle)
 from .states import (BELL_TYPE_ANGLE, MixtureWeights, build_mixture,
                      family_matrix, mixtures, one_particle_bell, phi_state,
-                     two_particle_bell, two_particle_momenta)
+                     two_particle_bell)
 from .witness import (TieError, WitnessCoefficients, b_coefficients,
                       coefficient_table, correlation_matrix, detect,
                       kkt_witness, operator_basis, random_product_states,

@@ -52,10 +52,6 @@ class UsageError(Exception):
     """Bad input that should exit with code 2."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _jsonable(value):
     """json.dumps hook: arrays become lists, complex entries [re, im] pairs."""
     if isinstance(value, np.ndarray):
@@ -65,7 +61,7 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _load_json(path: str) -> dict:
+def _load_weights(path: str) -> MixtureWeights:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -73,11 +69,6 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read JSON file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"expected a JSON object in {path!r}")
-    return data
-
-
-def _load_weights(path: str) -> MixtureWeights:
-    data = _load_json(path)
     for key in sorted(set(data) - {"q", "parity"}):
         raise UsageError(f"unknown key {key!r} in weights file {path!r}")
     try:
@@ -242,7 +233,7 @@ def cmd_measure(args) -> dict:
     doc = {
         "theta1": args.theta1,
         "theta2": args.theta2,
-        "hs_measure_to_edge": hs_distance(edge_state(1), rho),
+        "hs_measure_to_edge": hs_distance(edge_state(), rho),
         "entropy_bits_formula": entropy_formula(args.theta1, args.theta2),
         "boosted_phi1_entropy_bits": entropy_pure(
             effective_boost_pure(phi_state(1), args.theta1, args.theta2)
@@ -274,6 +265,8 @@ def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndar
     grid = np.linspace(args.start, args.stop, args.steps)
     theta1, theta2 = np.full(args.steps, args.theta1), np.full(args.steps, args.theta2)
     if args.parameter == "q1":
+        if args.weights:
+            raise UsageError("a q1 sweep reads no --weights: it sweeps the feasible family")
         return grid, fr_companion_weights(grid), theta1, theta2
     if not args.weights:
         raise UsageError(f"--weights is required for a {args.parameter} sweep")
@@ -284,6 +277,8 @@ def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndar
         theta1 = grid
     elif args.parameter == "theta2":
         theta2 = grid
+    elif args.start < 0:
+        raise UsageError("--start of an alpha sweep is a rapidity: it must be nonnegative")
     else:
         e_hat = np.array([0.0, 0.0, 1.0])
         p1 = np.array([0.0, np.sin(args.chi1), np.cos(args.chi1)])
@@ -298,7 +293,7 @@ def build_sweep_rows(args) -> list[dict]:
     grid, weights, theta1, theta2 = _sweep_inputs(args)
     # theta and alpha sweeps have one weight vector: one mixture serves every block
     fixed = mixtures(weights.q) if weights.q.ndim == 1 else None
-    edge = edge_state(1)
+    edge = edge_state()
     numeric, min_ppt, hs = np.empty((3, len(grid)))
     for lo in range(0, len(grid), SWEEP_BLOCK):
         block = slice(lo, lo + SWEEP_BLOCK)
@@ -319,7 +314,7 @@ def cmd_sweep(args) -> None:
         _emit({"inputs": {k: v for k, v in vars(args).items()
                           if k not in ("func", "record", "out")},
                "rows": rows}, args.record)
-    lines = [CSV_COLUMNS, *([row["parameter"], *(_fmt(row[c]) for c in CSV_COLUMNS[1:])]
+    lines = [CSV_COLUMNS, *([row["parameter"], *(f"{row[c]:.17g}" for c in CSV_COLUMNS[1:])]
                             for row in rows)]
     _write("".join(",".join(line) + "\n" for line in lines), args.out)
 
@@ -334,6 +329,14 @@ def _finite(text: str) -> float:
         value = np.nan
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _rapidity(text: str) -> float:
+    """The argparse type of a rapidity flag: a finite number, not negative."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
 
 
@@ -357,11 +360,11 @@ COMMANDS = {
         **_WEIGHTS, "--full": dict(action="store_true", help="include the full matrix"),
         **_THETA, **_FILTER}),
     "boost": (cmd_boost, "Wigner rotation data for two particles", {
-        "--alpha": dict(type=_finite, required=True, help="observer rapidity"),
+        "--alpha": dict(type=_rapidity, required=True, help="observer rapidity"),
         "--e": dict(default="0,0,1", help="boost direction (comma separated)"),
-        "--delta1": dict(type=_finite, default=2.0),
+        "--delta1": dict(type=_rapidity, default=2.0),
         "--p1": dict(default="0,0.8660254037844386,0.5"),
-        "--delta2": dict(type=_finite, default=2.0),
+        "--delta2": dict(type=_rapidity, default=2.0),
         "--p2": dict(default="0,0.8660254037844386,-0.5")}),
     "ppt": (cmd_ppt, "partial-transpose spectra and feasible region",
             {**_WEIGHTS, **_FILTER}),
@@ -379,9 +382,9 @@ COMMANDS = {
         "--steps": dict(type=int, required=True),
         "--weights": dict(help="weights JSON (theta/alpha sweeps)"),
         **_FILTER,
-        "--delta1": dict(type=_finite, default=2.0,
+        "--delta1": dict(type=_rapidity, default=2.0,
                          help="particle 1 rapidity for alpha sweeps"),
-        "--delta2": dict(type=_finite, default=2.0),
+        "--delta2": dict(type=_rapidity, default=2.0),
         "--chi1": dict(type=_finite, default=np.pi / 3,
                        help="particle 1 momentum polar angle (yz-plane)"),
         "--chi2": dict(type=_finite, default=2 * np.pi / 3),

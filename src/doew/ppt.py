@@ -4,7 +4,7 @@ Positivity of the partial transpose over the first particle's *momentum
 label* pins the four pairwise weight equalities; positivity over a spin label
 (equivalently over a full particle) adds the bounds q_i <= 1/4.  Together
 these constraints cut out the feasible region, whose boundary state
-``edge_state`` saturates q_i = 1/4 and carries a zero partial-transpose
+``edge_state`` saturates q1 = q7 = 1/4 and carries a zero partial-transpose
 eigenvalue.
 """
 
@@ -100,27 +100,24 @@ def feasible_region_check(weights: MixtureWeights) -> FeasibleRegionReport:
                                 is_ppt=ok)
 
 
-def feasible_family(q, direction: int = 1) -> MixtureWeights:
-    """Odd weights with q on each member of the equality pair holding ``direction``
-    and 1 - 2q shared evenly by the other six odd indices (feasible for q in
-    [0, 1/4]); an array q gives a stack, one weight vector per entry."""
-    pair = next((p for p in EQUALITY_PAIRS if direction in p), None)
-    if pair is None:
-        raise ValueError(f"direction must be an odd index in {EQUALITY_PAIRS}")
+def feasible_family(q) -> MixtureWeights:
+    """Odd weights with q on q1 and q7 and 1 - 2q shared evenly by the other six
+    odd indices (feasible for q in [0, 1/4]); an array q gives a stack, one
+    weight vector per entry."""
     q = np.asarray(q, dtype=float)
     w = np.zeros(q.shape + (16,))
     w[..., 0::2] = ((1.0 - 2.0 * q) / 6.0)[..., None]
-    w[..., np.array(pair) - 1] = q[..., None]
+    w[..., np.array(EQUALITY_PAIRS[0]) - 1] = q[..., None]
     return MixtureWeights(w, "odd")
 
 
-def edge_weights(direction: int = 1) -> MixtureWeights:
-    """Weights of the PPT boundary mixture saturating q_i = 1/4 along one pair,
+def edge_weights() -> MixtureWeights:
+    """Weights of the PPT boundary mixture saturating q1 = q7 = 1/4,
     ``feasible_family`` at q = 1/4 (the other six odd weights 1/12 each); any
     other feasible split of the residual weight touches the same boundary."""
-    return feasible_family(0.25, direction)
+    return feasible_family(0.25)
 
 
-def edge_state(direction: int = 1) -> np.ndarray:
+def edge_state() -> np.ndarray:
     """Density matrix of the PPT-boundary mixture (see ``edge_weights``)."""
-    return build_mixture(edge_weights(direction))
+    return build_mixture(edge_weights())

@@ -21,9 +21,6 @@ import numpy as np
 
 BELL_TYPE_ANGLE = np.pi / 4
 
-#: momentum label (1 or 2) of each single-particle basis index
-MOMENTUM_LABEL = (1, 1, 2, 2)
-
 WEIGHT_SUM_TOL = 1e-12
 
 _PAIRS = ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3))
@@ -164,10 +161,3 @@ def mixtures(q: np.ndarray, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
 def build_mixture(weights: MixtureWeights, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
     """Density matrix sum_i q_i |phi_i><phi_i|; unit trace, PSD by construction."""
     return mixtures(weights.q, theta)
-
-
-def two_particle_momenta(index: int) -> tuple[int, int]:
-    """Momentum labels (1 or 2) of both particles for a two-particle basis index."""
-    if not 0 <= index < 16:
-        raise ValueError(f"two-particle index must be 0..15, got {index}")
-    return MOMENTUM_LABEL[index // 4], MOMENTUM_LABEL[index % 4]

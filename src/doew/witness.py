@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import HERMITIAN_TOL
 from .states import MixtureWeights
 
 RANK_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-10
 TIE_TOL = 1e-12
 FLOOR_CERT_TOL = 1e-12
 _FLOOR_CHUNK = 8192
@@ -80,7 +80,7 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
         raise ValueError("expected a 16x16 operator")
     rt = _QF @ _realign(rho, (2, 0, 3, 1)) @ _QF.T
     residue = float(np.max(np.abs(rt.imag)))
-    if residue > IMAG_RESIDUE_TOL:
+    if residue > HERMITIAN_TOL:
         raise ValueError(f"imaginary residue {residue:.3e} signals a non-Hermitian input")
     return rt.real
 

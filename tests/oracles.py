@@ -80,7 +80,7 @@ def effective_boost_mixture_kron(rho: np.ndarray, theta1: float,
     return out / np.trace(out).real
 
 
-EDGE_STATE = mixture_recipe(edge_weights(1))
+EDGE_STATE = mixture_recipe(edge_weights())
 
 
 def sweep_point(weights, theta1: float, theta2: float) -> dict:

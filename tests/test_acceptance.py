@@ -181,7 +181,7 @@ def test_criterion_7_entropy():
 
 def test_criterion_8_measure_chain():
     rho_ent = phi1_projector()
-    rho_edge = edge_state(1)
+    rho_edge = edge_state()
     w, measure = doew_from_edge(rho_ent, rho_edge)
     diff = abs(measure - float(np.linalg.norm(rho_edge - rho_ent)))
     on_ent = detect(w, rho_ent)

@@ -101,6 +101,17 @@ def test_stacked_correlation_rejects_one_non_hermitian_member(rng):
         ppt_spectrum(stack)
 
 
+def test_stacked_correlation_holds_the_residue_to_the_hermitian_tolerance(rng):
+    # a 2e-11 one-sided entry leaves an imaginary residue of 1.4e-11 in the
+    # correlation matrix, over HERMITIAN_TOL, as require_hermitian would see it
+    stack = np.stack([random_density(rng, 16) for _ in range(3)])
+    stack[1, 0, 1] += 2e-11
+    with pytest.raises(ValueError, match="imaginary residue 1.41"):
+        correlation_matrix(stack)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(stack)
+
+
 # ------------------------------------------------------------------ filter
 
 def test_filter_matches_kron(rng):

@@ -409,8 +409,16 @@ def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, ment
     (["sweep", "--param", "q1", "--start", "0", "--stop", "0.5", "--step", "3"],
      "--parameter"),
     (["boost", "--alpha", "fast"], "--alpha: must be a finite number, got 'fast'"),
+    (["boost", "--alpha=-1"], "--alpha: must be nonnegative, got '-1'"),
+    (["boost", "--alpha", "1", "--delta1=-0.5"], "--delta1: must be nonnegative"),
+    (["boost", "--alpha", "1", "--delta2=-1e-300"], "--delta2: must be nonnegative"),
+    (["sweep", "--parameter", "alpha", "--start", "0", "--stop", "1", "--steps", "3",
+      "--delta1=-2"], "--delta1: must be nonnegative"),
+    (["sweep", "--parameter", "alpha", "--start", "0", "--stop", "1", "--steps", "3",
+      "--delta2=-2"], "--delta2: must be nonnegative"),
 ], ids=["missing-flag", "unknown-flag", "bad-choice", "non-integer-seed", "no-command",
-        "flag-prefixes", "non-numeric-float"])
+        "flag-prefixes", "non-numeric-float", "negative-alpha", "negative-delta1",
+        "negative-delta2", "sweep-negative-delta1", "sweep-negative-delta2"])
 def test_argparse_usage_errors_are_one_line(capsys, argv, mention):
     expect_usage_error(capsys, argv, mention)
 
@@ -440,7 +448,12 @@ def test_help_and_version_still_exit_zero(capsys, argv):
     (["--parameter", "theta1", "--start", "0", "--stop", "1"], ({2: 1.0}, "even"),
      "odd-parity"),
     (["--parameter", "q1", "--start", "0", "--stop", "0.6"], None, "[0, 0.5]"),
-], ids=["alpha-without-weights", "free-weights", "even-weights", "q1-past-half"])
+    (["--parameter", "alpha", "--start", "-1", "--stop", "1"], (ACCEPTANCE, "odd"),
+     "--start"),
+    (["--parameter", "q1", "--start", "0", "--stop", "0.5", "--weights", "/nonexistent.json"],
+     None, "--weights"),
+], ids=["alpha-without-weights", "free-weights", "even-weights", "q1-past-half",
+        "alpha-negative-start", "q1-with-weights"])
 def test_sweep_refuses_what_it_cannot_sweep(tmp_path, capsys, argv, weights, mention):
     if weights:
         argv = argv + ["--weights", write_weights(tmp_path, *weights)]

@@ -99,7 +99,7 @@ def test_hs_distance_dimension_mismatch():
 
 def test_doew_from_edge_reference_chain():
     rho_ent = phi1_projector()
-    rho_edge = edge_state(1)
+    rho_edge = edge_state()
     w, measure = doew_from_edge(rho_ent, rho_edge)
     # measure equals the Hilbert-Schmidt distance, here sqrt(2/3) exactly
     assert abs(measure - hs_distance(rho_edge, rho_ent)) < 1e-10
@@ -111,7 +111,7 @@ def test_doew_from_edge_reference_chain():
 
 
 def test_doew_from_edge_perturbation(rng):
-    rho_edge = edge_state(1)
+    rho_edge = edge_state()
     for _ in range(100):
         pert = random_hermitian(rng, 16)
         pert -= np.trace(pert) / 16 * np.eye(16)
@@ -122,7 +122,7 @@ def test_doew_from_edge_perturbation(rng):
 
 
 def test_doew_from_edge_coincident():
-    rho = edge_state(1)
+    rho = edge_state()
     with pytest.raises(ValueError):
         doew_from_edge(rho, rho)
 

@@ -64,7 +64,7 @@ def test_closed_form_requires_odd_parity():
 
 
 def test_feasible_region_edge_configuration():
-    report = feasible_region_check(edge_weights(1))
+    report = feasible_region_check(edge_weights())
     assert report.is_ppt
     assert all(abs(r) < 1e-12 for _, r in report.equalities)
     assert all(m >= -1e-12 for _, m in report.inequalities)
@@ -118,37 +118,23 @@ def test_sign_pattern_boost_independent(rng):
 def test_edge_state_contacts_witness():
     v = phi_state(1)
     w_tr1 = np.eye(16) - 4 * np.outer(v, v.conj())
-    assert abs(detect(w_tr1, edge_state(1))) < 1e-12
+    assert abs(detect(w_tr1, edge_state())) < 1e-12
 
 
 def test_edge_state_pt_touches_zero():
-    spectrum = ppt_spectrum(edge_state(1), "A")
+    spectrum = ppt_spectrum(edge_state(), "A")
     assert spectrum.min() > -1e-10
     assert spectrum.min() < 1e-10
 
 
-def test_edge_state_other_directions():
-    for direction in (3, 9, 11):
-        w = edge_weights(direction)
-        assert abs(w.weight(direction) - 0.25) < 1e-15
-        assert feasible_region_check(w).is_ppt
-        assert ppt_spectrum(edge_state(direction), "A").min() > -1e-10
-
-
 def test_feasible_family_is_feasible_up_to_the_edge():
     q = np.linspace(0.0, 0.5, 21)
-    stack = feasible_family(q, 9)
+    stack = feasible_family(q)
     for value, row in zip(q, stack.q):
-        single = feasible_family(value, 9)
+        single = feasible_family(value)
         assert np.array_equal(single.q, row)
-        assert single.weight(9) == single.weight(13) == value
+        assert single.weight(1) == single.weight(7) == value
         assert feasible_region_check(single).is_ppt == (value <= 0.25)
     # the edge is the family at 1/4, bit for bit (0.5 / 6 == 1 / 12)
-    for direction in (1, 3, 9, 11):
-        assert np.array_equal(edge_weights(direction).q, feasible_family(0.25, direction).q)
-    assert np.array_equal(edge_weights(1).q, fr_companion_weights(0.25).q)
-
-
-def test_edge_state_invalid_direction():
-    with pytest.raises(ValueError):
-        edge_weights(2)
+    assert np.array_equal(edge_weights().q, feasible_family(0.25).q)
+    assert np.array_equal(edge_weights().q, fr_companion_weights(0.25).q)

@@ -306,7 +306,7 @@ def near_edge_weights(draw):
 @given(near_edge_weights(), st.one_of(st.just(0.0), ANGLE), st.one_of(st.just(0.0), ANGLE))
 def test_hs_distance_to_the_edge_is_the_doew_measure(weights, theta1, theta2):
     rho = effective_boost_mixture(build_mixture(weights), theta1, theta2)
-    edge = edge_state(1)
+    edge = edge_state()
     distance = hs_distance(edge, rho)
     try:
         _, measure = doew_from_edge(rho, edge)

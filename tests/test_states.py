@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_odd_weights
 from doew import (MixtureWeights, build_mixture, one_particle_bell, phi_state,
-                  ppt_spectrum, two_particle_bell, two_particle_momenta)
+                  ppt_spectrum, two_particle_bell)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -83,8 +83,8 @@ def test_type_classification_at_bell_angle():
     for i in range(1, 17):
         v = phi_state(i, np.pi / 4)
         support = np.nonzero(np.abs(v) > 1e-12)[0]
-        same = [k for k in support
-                if two_particle_momenta(k)[0] == two_particle_momenta(k)[1]]
+        # ket k = 4a + b has momentum labels 1 + k // 8 and 1 + k % 4 // 2
+        same = [k for k in support if k // 8 == k % 4 // 2]
         if i % 2 == 1:
             assert len(same) == len(support), f"state {i} leaks across momenta"
         else:

@@ -348,7 +348,7 @@ def test_reference_witness_is_decomposable():
 
 
 def test_reference_witness_touches_edge():
-    assert abs(detect(tr1_witness(), edge_state(1))) < 1e-12
+    assert abs(detect(tr1_witness(), edge_state())) < 1e-12
 
 
 def test_witness_has_negative_eigenvalue_when_detecting(rng):
