@@ -2,9 +2,9 @@
 
 Subcommands: state, rho, boost, ppt, witness, measure, sweep.  All output is
 JSON on stdout except ``sweep``, which emits CSV (17 significant digits, one
-row per grid point, evaluated in stacked blocks of SWEEP_BLOCK points with
-the same output as point by point).  Exit codes: 0 success, 1
-computation-domain error, 2 usage or parse error.
+row per grid point, in real arithmetic in stacked blocks of SWEEP_BLOCK points, as
+point by point up to rounding; it refuses flags its --parameter overrides or never
+reads).  Exit codes: 0 success, 1 computation-domain error, 2 usage or parse error.
 
 Weights files are JSON of the form {"q": {"1": 0.4, "3": 0.2, ...},
 "parity": "odd"} with 1-based indices; missing indices are zero.
@@ -36,8 +36,8 @@ from .witness import (TieError, coefficient_table, detect, kkt_witness,
 
 DEFAULT_SEED = 2024
 
-#: grid points evaluated per stacked pass; bounds the memory of the stacks
-SWEEP_BLOCK = 16
+#: grid points evaluated per stacked pass; bounds a stack of 16x16 matrices at 128 KiB
+SWEEP_BLOCK = 64
 
 #: a witness minimum below -VERDICT_TOL detects entanglement; closer to zero
 #: it is rounding of a state on the separable boundary
@@ -119,7 +119,7 @@ def cmd_state(args) -> dict:
     return {
         "phi": args.phi,
         "theta": args.theta,
-        "amplitudes": v,
+        "amplitudes": v.astype(complex),
         "norm": np.linalg.norm(v),
     }
 
@@ -146,7 +146,7 @@ def cmd_rho(args) -> dict:
         "reduced_A_eigenvalues": np.linalg.eigvalsh(partial_trace(rho, (4, 4), "B")),
     }
     if args.full:
-        doc["matrix"] = rho
+        doc["matrix"] = rho.astype(complex)
     return doc
 
 
@@ -256,8 +256,19 @@ def fr_companion_weights(q1) -> MixtureWeights:
     return feasible_family(q1)
 
 
+#: (default, the parameters that read it) of each sweep flag the parser leaves at None
+_SWEEP_FLAGS = {"weights": (None, "theta1 theta2 alpha"), "theta1": (0.0, "theta2 q1"),
+                "theta2": (0.0, "theta1 q1"), "delta1": (2.0, "alpha"), "delta2": (2.0, "alpha"),
+                "chi1": (np.pi / 3, "alpha"), "chi2": (2 * np.pi / 3, "alpha")}
+
+
 def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndarray]:
     """Validated grid with the weights (one vector or a stack) and filter angles."""
+    for name, (default, readers) in _SWEEP_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)   # so a --record holds the value used
+        elif args.parameter not in readers.split():
+            raise UsageError(f"a sweep over {args.parameter} does not read --{name}")
     if args.steps < 2:
         raise UsageError("steps must be at least 2")
     if not args.start < args.stop:
@@ -265,8 +276,6 @@ def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndar
     grid = np.linspace(args.start, args.stop, args.steps)
     theta1, theta2 = np.full(args.steps, args.theta1), np.full(args.steps, args.theta2)
     if args.parameter == "q1":
-        if args.weights:
-            raise UsageError("a q1 sweep reads no --weights: it sweeps the feasible family")
         return grid, fr_companion_weights(grid), theta1, theta2
     if not args.weights:
         raise UsageError(f"--weights is required for a {args.parameter} sweep")
@@ -381,13 +390,11 @@ COMMANDS = {
         "--stop": dict(type=_finite, required=True),
         "--steps": dict(type=int, required=True),
         "--weights": dict(help="weights JSON (theta/alpha sweeps)"),
-        **_FILTER,
-        "--delta1": dict(type=_rapidity, default=2.0,
-                         help="particle 1 rapidity for alpha sweeps"),
-        "--delta2": dict(type=_rapidity, default=2.0),
-        "--chi1": dict(type=_finite, default=np.pi / 3,
-                       help="particle 1 momentum polar angle (yz-plane)"),
-        "--chi2": dict(type=_finite, default=2 * np.pi / 3),
+        **{flag: {**kwargs, "default": None} for flag, kwargs in _FILTER.items()},
+        "--delta1": dict(type=_rapidity, help="particle 1 rapidity for alpha sweeps"),
+        "--delta2": dict(type=_rapidity),
+        "--chi1": dict(type=_finite, help="particle 1 momentum polar angle (yz-plane)"),
+        "--chi2": dict(type=_finite),
         "--record": dict(help="write a reproducible run record JSON here")}),
 }
 

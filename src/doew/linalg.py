@@ -1,9 +1,9 @@
-"""Dense complex linear-algebra kernel for small bipartite operators.
+"""Linear-algebra kernel for small bipartite operators, real or complex.
 
-Pure functions over numpy arrays.  These routines double as the brute-force
-oracles that every closed-form result elsewhere in the package is checked
-against, so they stay deliberately simple: reshapes, transposes and sums
-over dense matrices of dimension at most 16.
+Pure functions over numpy arrays that keep a real operator real.  These
+routines double as the brute-force oracles that every closed-form result
+elsewhere in the package is checked against, so they stay deliberately simple:
+reshapes, transposes, sums and spectra of matrices of dimension at most 16.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
-    """m as a complex array, checked Hermitian matrix by matrix."""
-    m = np.asarray(m, dtype=complex)
+    """m as an array, real or complex as given, checked Hermitian matrix by matrix."""
+    m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
@@ -62,6 +62,15 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int] = (4, 4),
     return np.einsum(subscripts, r4)
 
 
-def hs_norm(m: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr(m^dag m)), per matrix of a stack."""
+def hs_norm(m: np.ndarray) -> np.ndarray | float:
+    """Hilbert-Schmidt norm sqrt(Tr(m^dag m)): an array, one per matrix of a stack, or a float."""
     return np.linalg.norm(np.asarray(m), axis=(-2, -1))
+
+
+def block_spectrum(spectrum, m: np.ndarray, blocks) -> np.ndarray:
+    """spectrum (of a matrix stack, along the last axis) of each block m[..., b, b] of the
+    partition blocks, concatenated, if m is exactly 0 off the blocks; else spectrum(m)."""
+    parts = [m[..., b, :][..., b] for b in blocks]
+    if sum(map(np.count_nonzero, parts)) < np.count_nonzero(m):
+        return spectrum(m)
+    return np.concatenate([spectrum(part) for part in parts], axis=-1)

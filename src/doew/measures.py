@@ -89,8 +89,9 @@ def entropy_formula(theta1, theta2):
     return _entropy_bits(np.stack(np.broadcast_arrays(l1, l1, l2, l2), axis=-1))
 
 
-def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt distance ||a - b||, broadcast over stacks of matrices."""
+def hs_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
+    """Hilbert-Schmidt distance ||a - b||: an array, one per matrix pair of broadcast
+    stacks, or a float for two matrices."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")

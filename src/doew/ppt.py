@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_transpose, require_hermitian
+from .linalg import block_spectrum, partial_transpose, require_hermitian
 from .relativity import sector_weights
 from .states import MixtureWeights, build_mixture
 
@@ -27,16 +27,14 @@ EQUALITY_PAIRS = ((1, 7), (3, 5), (9, 13), (11, 15))
 HALF_SUM_INDICES = (1, 3, 11, 9)
 
 _PAIR_FIRST, _PAIR_SECOND = np.array(EQUALITY_PAIRS).T - 1   # 0-based members
-
-
-def _pt_spectrum(rho: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarray:
-    return np.linalg.eigvalsh(partial_transpose(require_hermitian(rho), dims, party))
+_PT_BLOCKS = ((0, 3, 5, 6, 9, 10, 12, 15), (1, 2, 4, 7, 8, 11, 13, 14))   # of a family mixture
 
 
 def ppt_spectrum(rho: np.ndarray, party: str = "A") -> np.ndarray:
-    """Ascending eigenvalues of the particle-particle partial transpose, one
-    spectrum per matrix of a stack of shape (..., 16, 16)."""
-    return _pt_spectrum(rho, (4, 4), party)
+    """Ascending eigenvalues of the particle-particle partial transpose, per matrix of a
+    stack (..., 16, 16); eigvalsh by the exact 8x8 blocks of a family mixture's."""
+    pt = partial_transpose(require_hermitian(rho), (4, 4), party)
+    return np.sort(block_spectrum(np.linalg.eigvalsh, pt, _PT_BLOCKS), axis=-1)
 
 
 def momentum_label_pt_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -46,7 +44,7 @@ def momentum_label_pt_spectrum(rho: np.ndarray) -> np.ndarray:
     a 2 (x) 8 bipartition; this is the transpose whose closed-form spectrum
     ``closed_form_momentum_pt`` reproduces.
     """
-    return _pt_spectrum(rho, (2, 8), "A")
+    return np.linalg.eigvalsh(partial_transpose(require_hermitian(rho), (2, 8), "A"))
 
 
 def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,

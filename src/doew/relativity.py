@@ -221,12 +221,12 @@ def effective_boost_pure(state: np.ndarray, theta1: float, theta2: float) -> np.
 
 
 def effective_boost_mixture(rho: np.ndarray, theta1, theta2) -> np.ndarray:
-    """Momentum-sector filtered density matrix, renormalized to unit trace.
+    """Momentum-sector filtered density matrix (real for a real rho), unit trace.
 
     rho may be a stack (..., 16, 16) and the angles arrays broadcasting
     against its leading axes; the filter scales entry (a, b) by d_a d_b.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     if rho.shape[-2:] != (16, 16):
         raise ValueError("density matrix must be 16x16")
     d = _filter_diagonal(theta1, theta2)

@@ -28,7 +28,7 @@ _PAIRS = ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3))
 # row k-1 is psi_k: (|p1,+> +/- |p2,->) / sqrt(2) for k = 1, 2 and
 # (|p2,+> +/- |p1,->) / sqrt(2) for k = 3, 4
 _BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
-                  [0, 1, 1, 0], [0, -1, 1, 0]], dtype=complex) / np.sqrt(2.0)
+                  [0, 1, 1, 0], [0, -1, 1, 0]], dtype=float) / np.sqrt(2.0)
 
 
 def one_particle_bell(index: int) -> np.ndarray:
@@ -86,7 +86,7 @@ _FAMILY_S = np.stack([sign * two_particle_bell(kind, pair_s)
 
 
 def family_matrix(theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
-    """16x16 unitary whose column i-1 is phi_state(i, theta)."""
+    """Real 16x16 orthogonal matrix whose column i-1 is phi_state(i, theta)."""
     return np.cos(theta) * _FAMILY_C + np.sin(theta) * _FAMILY_S
 
 
@@ -153,9 +153,9 @@ class MixtureWeights:
 
 
 def mixtures(q: np.ndarray, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:
-    """Density matrices sum_i q_i |phi_i><phi_i| for weight vectors q of shape (..., 16)."""
+    """Real density matrices sum_i q_i |phi_i><phi_i| for weight vectors q of shape (..., 16)."""
     u = family_matrix(theta)
-    return (u * np.asarray(q, dtype=float)[..., None, :]) @ u.conj().T
+    return (u * np.asarray(q, dtype=float)[..., None, :]) @ u.T
 
 
 def build_mixture(weights: MixtureWeights, theta: float = BELL_TYPE_ANGLE) -> np.ndarray:

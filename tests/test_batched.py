@@ -4,7 +4,10 @@ The family table, the realigned correlation matrix and witness operator, the
 elementwise filter and the stacked spectra must reproduce the direct
 constructions in ``oracles``; the block-wise ``doew sweep`` must reproduce a
 point-by-point composition of ``kkt_witness``, ``ppt_spectrum`` and
-``hs_distance``, including across block edges.
+``hs_distance``, including across block edges.  Family mixtures, of any
+parity, must send their exact diagonal blocks to LAPACK and agree with the
+dense spectra, other states must take the dense path, the block index sets
+must follow from the family's sparsity, and real input must stay real.
 """
 
 import csv
@@ -17,11 +20,11 @@ from numpy.testing import assert_allclose
 
 from conftest import random_density, random_hermitian, random_odd_weights
 from doew import (MixtureWeights, build_mixture, correlation_matrix, detect,
-                  effective_angles, effective_boost_mixture,
+                  edge_state, effective_angles, effective_boost_mixture,
                   effective_boost_pure, entropy_formula, kkt_witness,
-                  family_matrix, mixtures, phi_state, ppt_spectrum,
-                  relativistic_witness_value, sector_weights, witness_min_value,
-                  witness_operator)
+                  family_matrix, mixtures, partial_transpose, phi_state,
+                  ppt_spectrum, relativistic_witness_value, sector_weights,
+                  witness_min_value, witness_operator)
 import doew
 from doew.cli import CSV_COLUMNS, SWEEP_BLOCK, fr_companion_weights, main
 from doew.linalg import require_hermitian
@@ -161,6 +164,93 @@ def test_stacked_spectra_match_per_matrix(rng):
         assert_allclose(spec_b, ppt_spectrum(rho, "B"), atol=1e-14)
 
 
+def lapack_shapes(monkeypatch):
+    """The matrix shapes passed to svd and eigvalsh from now on, in call order."""
+    shapes = []
+    for name in ("svd", "eigvalsh"):
+        def counted(m, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(m)[-2:])
+            return _original(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+def dense_spectra(stack):
+    """witness_min_value and ppt_spectrum of a stack with one 16x16 LAPACK call each."""
+    return (1.0 - np.linalg.svd(correlation_matrix(stack), compute_uv=False).sum(axis=-1),
+            np.linalg.eigvalsh(partial_transpose(stack)))
+
+
+@pytest.mark.parametrize("parity", ["odd", "even", "free"])
+def test_family_stacks_take_the_block_path(rng, monkeypatch, parity):
+    # the blocks come from the sparsity of the family table, which every
+    # mixture of the family shares, whatever its parity
+    q = random_weight_stack(rng, 6)
+    if parity != "free":   # odd states are the even 0-based columns
+        q[:, int(parity == "odd")::2] = 0.0
+    stack = effective_boost_mixture(mixtures(q / q.sum(axis=1, keepdims=True)),
+                                    np.linspace(-1.0, 3.1, 6), 0.4)
+    value, spectrum = dense_spectra(stack)
+    shapes = lapack_shapes(monkeypatch)
+    assert np.max(np.abs(witness_min_value(stack) - value)) <= 4e-15
+    assert np.max(np.abs(ppt_spectrum(stack) - spectrum)) <= 4e-15
+    assert shapes == [(4, 4), (6, 6), (4, 4), (2, 2), (8, 8), (8, 8)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_random_density_stacks_take_the_dense_path(rng, monkeypatch, dtype):
+    if dtype is float:
+        g = rng.normal(size=(4, 16, 16))
+        stack = g @ np.swapaxes(g, -1, -2)
+        stack /= np.trace(stack, axis1=-2, axis2=-1)[:, None, None]
+    else:
+        stack = np.stack([random_density(rng, 16) for _ in range(4)])
+    value, spectrum = dense_spectra(stack)
+    shapes = lapack_shapes(monkeypatch)
+    assert np.array_equal(witness_min_value(stack), value)
+    assert np.array_equal(ppt_spectrum(stack), spectrum)
+    assert shapes == [(16, 16), (16, 16)]
+
+
+def components(m):
+    """Index sets of the connected components of the nonzero pattern of m."""
+    reach = ((m != 0) | (m != 0).T | np.eye(len(m), dtype=bool)).astype(int)
+    for _ in range(4):   # paths of up to 2**4 = 16 steps
+        reach = (reach @ reach > 0).astype(int)
+    return {tuple(np.flatnonzero(row)) for row in reach}
+
+
+def test_block_index_sets_follow_from_the_family_sparsity(rng):
+    rho = effective_boost_mixture(build_mixture(random_odd_weights(rng)), 0.4, 2.1)
+    assert components(correlation_matrix(rho)) == set(doew.witness._RT_BLOCKS)
+    assert components(partial_transpose(rho)) == set(doew.ppt._PT_BLOCKS)
+
+
+@pytest.mark.parametrize("entry", [1e-3, 2e-11])
+def test_a_real_stack_with_a_one_sided_entry_is_refused(rng, entry):
+    # the real path computes the whole imaginary residue of QF X QF^t: 1.41e-11
+    # for a 2e-11 entry, as the complex path does
+    stack = effective_boost_mixture(mixtures(random_weight_stack(rng, 3)), 0.3, 1.9)
+    stack[1, 0, 1] += entry
+    with pytest.raises(ValueError, match=f"imaginary residue {entry / np.sqrt(2):.3e}"):
+        correlation_matrix(stack)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ppt_spectrum(stack)
+
+
+def test_real_input_stays_real_and_complex_stays_complex(rng):
+    rho = build_mixture(random_odd_weights(rng))
+    for built in (family_matrix(1.0), phi_state(3), rho, mixtures(np.eye(16)[:2]),
+                  edge_state()):
+        assert built.dtype == float
+    for dtype in (float, complex):
+        m = rho.astype(dtype)
+        assert require_hermitian(m).dtype == dtype
+        assert effective_boost_mixture(m, 0.3, 1.2).dtype == dtype
+        assert correlation_matrix(m).dtype == float
+        assert ppt_spectrum(m).dtype == float
+
+
 def test_require_hermitian_accepts_stacks(rng):
     stack = np.stack([random_hermitian(rng, 4) for _ in range(3)])
     assert require_hermitian(stack).shape == (3, 4, 4)
@@ -214,10 +304,17 @@ SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("steps", (2, SWEEP_BLOCK - 1, SWEEP_BLOCK,
-                                   SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 1))
+#: grid lengths at the edges of one and two blocks, with the block size they
+#: are run at: a 16-point block, and SWEEP_BLOCK itself
+BLOCK_EDGES = {**{steps: 16 for steps in (2, 15, 16, 17, 33)},
+               **{steps: SWEEP_BLOCK for steps in (SWEEP_BLOCK - 1, SWEEP_BLOCK,
+                                                   SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 1)}}
+
+
+@pytest.mark.parametrize("steps", BLOCK_EDGES)
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_rows_match_point_by_point(tmp_path, name, steps):
+def test_sweep_rows_match_point_by_point(tmp_path, monkeypatch, name, steps):
+    monkeypatch.setattr(doew.cli, "SWEEP_BLOCK", BLOCK_EDGES[steps])
     parameter, start, stop, flags = SWEEPS[name]
     argv = ["--parameter", parameter, "--start", repr(start), "--stop", repr(stop),
             "--steps", str(steps)]

@@ -233,6 +233,9 @@ def test_sweep_deterministic_and_recorded(tmp_path, capsys):
     assert rec["tool_version"]
     assert len(rec["rows"]) == 5
     assert rec["inputs"]["parameter"] == "theta2"
+    # flags a theta2 sweep does not read are recorded at their defaults
+    assert rec["inputs"]["theta1"] == 0.0 and rec["inputs"]["delta1"] == 2.0
+    assert rec["inputs"]["chi2"] == 2 * np.pi / 3
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -441,6 +444,13 @@ def test_help_and_version_still_exit_zero(capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+#: (--parameter, flag) pairs where the grid overrides the flag or nothing reads it
+SWEEP_IGNORES = [("alpha", "theta1"), ("alpha", "theta2"), ("theta1", "theta1"),
+                 ("theta2", "theta2"),
+                 *[(parameter, flag) for parameter in ("theta1", "theta2", "q1")
+                   for flag in ("delta1", "delta2", "chi1", "chi2")]]
+
+
 @pytest.mark.parametrize("argv, weights, mention", [
     (["--parameter", "alpha", "--start", "0", "--stop", "1"], None, "--weights"),
     (["--parameter", "theta2", "--start", "0", "--stop", "1"], ({1: 0.5, 2: 0.5}, "free"),
@@ -452,8 +462,12 @@ def test_help_and_version_still_exit_zero(capsys, argv):
      "--start"),
     (["--parameter", "q1", "--start", "0", "--stop", "0.5", "--weights", "/nonexistent.json"],
      None, "--weights"),
+    *[(["--parameter", parameter, "--start", "0", "--stop", "0.5", f"--{flag}", "1"],
+       None if parameter == "q1" else (ACCEPTANCE, "odd"),
+       f"a sweep over {parameter} does not read --{flag}") for parameter, flag in SWEEP_IGNORES],
 ], ids=["alpha-without-weights", "free-weights", "even-weights", "q1-past-half",
-        "alpha-negative-start", "q1-with-weights"])
+        "alpha-negative-start", "q1-with-weights",
+        *[f"{parameter}-with-{flag}" for parameter, flag in SWEEP_IGNORES]])
 def test_sweep_refuses_what_it_cannot_sweep(tmp_path, capsys, argv, weights, mention):
     if weights:
         argv = argv + ["--weights", write_weights(tmp_path, *weights)]

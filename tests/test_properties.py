@@ -11,6 +11,8 @@ closed-form witness value and coefficient table must match the SVD witness,
 also within 1e-9 of every tie, and the table must refuse exactly at its ties.
 The Hilbert-Schmidt distance to the edge state that ``doew measure`` prints
 must be the measure of the DOEW construction, also within 1e-12 of the edge.
+The spectra taken over the exact blocks of filtered odd mixtures must match the
+dense ones within 4e-15, also near theta = pi and on the diagonal.
 The separability floor with its skip certificate must be bitwise the floor of
 one ``eigvalsh`` over every partner matrix, and the certificate must never
 pass a matrix whose lowest eigenvalue lies below its shift beyond rounding.
@@ -27,7 +29,7 @@ from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
                   closed_form_momentum_pt, coefficient_table, correlation_matrix,
                   doew_from_edge, edge_state, edge_weights, effective_angles,
                   effective_boost_mixture, entropy_formula, hs_distance,
-                  kkt_witness, mixtures, partial_transpose,
+                  kkt_witness, mixtures, partial_transpose, ppt_spectrum,
                   relativistic_witness_value, separability_floor_check,
                   wigner_half_angle, wigner_rotation_oracle, witness_min_value)
 from doew import witness
@@ -192,6 +194,21 @@ def test_closed_forms_broadcast_like_a_row_loop(grid):
             assert entropy[n] == 2.0
     # a scalar pair of angles still gives a float
     assert type(entropy_formula(float(theta1[0]), float(theta2[0]))) is float
+
+
+@SETTINGS
+@given(grids())
+def test_block_spectra_match_the_dense_ones(grid):
+    q, theta1, theta2, _ = grid
+    rho = effective_boost_mixture(mixtures(q), theta1, theta2)
+    with (mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
+          mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh):
+        value, spectrum = witness_min_value(rho), ppt_spectrum(rho)
+    assert [c.args[0].shape[-1] for c in svd.call_args_list] == [4, 6, 4, 2]
+    assert [c.args[0].shape[-1] for c in eigvalsh.call_args_list] == [8, 8]
+    dense = 1.0 - np.linalg.svd(correlation_matrix(rho), compute_uv=False).sum(axis=-1)
+    assert np.max(np.abs(value - dense)) <= 4e-15
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(partial_transpose(rho)))) <= 4e-15
 
 
 #: ways to spoil one weight row, with the error each must raise
