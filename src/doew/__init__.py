@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 import types as _types
 
-from .linalg import dagger, hs_norm, partial_trace, partial_transpose
+from .linalg import dagger, partial_trace, partial_transpose
 from .measures import (ConcurrenceReport, EntropyReport, doew_from_edge,
                        entropy_formula, entropy_pure, generalized_concurrence,
                        hs_distance, kappa, reduced_eigenvalue_pair,

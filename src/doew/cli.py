@@ -1,10 +1,9 @@
 """Command-line front end: build states, run witness constructions, sweep angles.
 
-Subcommands: state, rho, boost, ppt, witness, measure, sweep.  All output is
-JSON on stdout except ``sweep``, which emits CSV (17 significant digits, one
-row per grid point, in real arithmetic in stacked blocks of SWEEP_BLOCK points, as
-point by point up to rounding; it refuses flags its --parameter overrides or never
-reads).  Exit codes: 0 success, 1 computation-domain error, 2 usage or parse error.
+Subcommands: state, rho, boost, ppt, witness, measure, sweep.  All output is JSON on
+stdout except ``sweep``'s CSV table (17 significant digits, one row per grid point, in
+real stacked blocks of SWEEP_BLOCK points; it refuses flags its --parameter overrides or
+never reads).  Exit codes: 0 success, 1 computation-domain error, 2 usage or parse error.
 
 Weights files are JSON of the form {"q": {"1": 0.4, "3": 0.2, ...},
 "parity": "odd"} with 1-based indices; missing indices are zero.
@@ -200,8 +199,6 @@ def cmd_ppt(args) -> dict:
 
 
 def cmd_witness(args) -> dict:
-    if args.floor_samples < 0:
-        raise UsageError("--floor-samples must be nonnegative")
     weights, rho = _load_state(args)
     coeffs, w = kkt_witness(rho)
     doc = {
@@ -296,9 +293,9 @@ def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndar
     return grid, base, theta1, theta2
 
 
-def build_sweep_rows(args) -> list[dict]:
-    """One row per grid point: numeric columns from stacked blocks of SWEEP_BLOCK
-    points (mixture, filter, SVD, PT spectrum), closed forms over the whole grid."""
+def build_sweep_rows(args) -> list[list[float]]:
+    """The sweep's table, a row of CSV_COLUMNS[1:] floats per grid point: numeric columns from
+    blocks of SWEEP_BLOCK points (mixture, filter, SVD, PT spectrum), closed forms in one pass."""
     grid, weights, theta1, theta2 = _sweep_inputs(args)
     # theta and alpha sweeps have one weight vector: one mixture serves every block
     fixed = mixtures(weights.q) if weights.q.ndim == 1 else None
@@ -311,21 +308,18 @@ def build_sweep_rows(args) -> list[dict]:
         numeric[block] = witness_min_value(boosted)
         min_ppt[block] = ppt_spectrum(boosted, "A")[:, 0]
         hs[block] = hs_distance(edge, boosted)
-    columns = (grid, relativistic_witness_value(weights, theta1, theta2), numeric,
-               entropy_formula(theta1, theta2), min_ppt, hs)
-    return [dict(zip(CSV_COLUMNS, (args.parameter, *values)))
-            for values in zip(*(column.tolist() for column in columns))]
+    return np.column_stack((grid, relativistic_witness_value(weights, theta1, theta2),
+                            numeric, entropy_formula(theta1, theta2), min_ppt, hs)).tolist()
 
 
 def cmd_sweep(args) -> None:
-    rows = build_sweep_rows(args)
+    table = build_sweep_rows(args)
     if args.record:   # first, so that a record it cannot write leaves stdout empty
-        _emit({"inputs": {k: v for k, v in vars(args).items()
-                          if k not in ("func", "record", "out")},
-               "rows": rows}, args.record)
-    lines = [CSV_COLUMNS, *([row["parameter"], *(f"{row[c]:.17g}" for c in CSV_COLUMNS[1:])]
-                            for row in rows)]
-    _write("".join(",".join(line) + "\n" for line in lines), args.out)
+        inputs = {k: v for k, v in vars(args).items() if k not in ("func", "record", "out")}
+        rows = [dict(zip(CSV_COLUMNS, (args.parameter, *row))) for row in table]
+        _emit({"inputs": inputs, "rows": rows}, args.record)
+    line = args.parameter + ",%.17g" * 6 + "\n"
+    _write(",".join(CSV_COLUMNS) + "\n" + "".join(line % tuple(row) for row in table), args.out)
 
 
 # ------------------------------------------------------------------- parsing
@@ -346,6 +340,17 @@ def _rapidity(text: str) -> float:
     value = _finite(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """The argparse type of a count or seed flag: an integer, not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return value
 
 
@@ -378,9 +383,9 @@ COMMANDS = {
     "ppt": (cmd_ppt, "partial-transpose spectra and feasible region",
             {**_WEIGHTS, **_FILTER}),
     "witness": (cmd_witness, "construct the optimal witness", {
-        **_WEIGHTS, "--floor-samples": dict(type=int, default=0, help=(
+        **_WEIGHTS, "--floor-samples": dict(type=_nonnegative_int, default=0, help=(
             "also sample the separable-state floor with this many states")),
-        **_FILTER, "--seed": dict(type=int, default=DEFAULT_SEED,
+        **_FILTER, "--seed": dict(type=_nonnegative_int, default=DEFAULT_SEED,
                                   help=f"seed for all sampling (default {DEFAULT_SEED})")}),
     "measure": (cmd_measure, "entanglement measures for a mixture",
                 {**_WEIGHTS, **_FILTER}),

@@ -62,11 +62,6 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int] = (4, 4),
     return np.einsum(subscripts, r4)
 
 
-def hs_norm(m: np.ndarray) -> np.ndarray | float:
-    """Hilbert-Schmidt norm sqrt(Tr(m^dag m)): an array, one per matrix of a stack, or a float."""
-    return np.linalg.norm(np.asarray(m), axis=(-2, -1))
-
-
 def block_spectrum(spectrum, m: np.ndarray, blocks) -> np.ndarray:
     """spectrum (of a matrix stack, along the last axis) of each block m[..., b, b] of the
     partition blocks, concatenated, if m is exactly 0 off the blocks; else spectrum(m)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hs_norm, require_hermitian
+from .linalg import require_hermitian
 from .relativity import sector_weights
 from .states import MixtureWeights
 from .witness import b_coefficients, detect
@@ -90,12 +90,12 @@ def entropy_formula(theta1, theta2):
 
 
 def hs_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
-    """Hilbert-Schmidt distance ||a - b||: an array, one per matrix pair of broadcast
-    stacks, or a float for two matrices."""
+    """Hilbert-Schmidt distance ||a - b|| = sqrt(Tr((a - b)^dag (a - b))): an array, one
+    per matrix pair of broadcast stacks, or a float for two matrices."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return hs_norm(a - b)
+    return np.linalg.norm(a - b, axis=(-2, -1))
 
 
 def doew_from_edge(rho_ent: np.ndarray, rho_edge: np.ndarray) -> tuple[np.ndarray, float]:
@@ -110,8 +110,7 @@ def doew_from_edge(rho_ent: np.ndarray, rho_edge: np.ndarray) -> tuple[np.ndarra
     the edge state.
     """
     rho_ent, rho_edge = require_hermitian(rho_ent), require_hermitian(rho_edge)
-    diff = rho_edge - rho_ent
-    norm = hs_norm(diff)
+    diff, norm = rho_edge - rho_ent, hs_distance(rho_edge, rho_ent)
     if norm < COINCIDENCE_TOL:
         raise ValueError("edge and entangled states coincide")
     w = (diff - detect(rho_edge, diff) * np.eye(rho_edge.shape[0])) / norm

@@ -236,6 +236,11 @@ def test_sweep_deterministic_and_recorded(tmp_path, capsys):
     # flags a theta2 sweep does not read are recorded at their defaults
     assert rec["inputs"]["theta1"] == 0.0 and rec["inputs"]["delta1"] == 2.0
     assert rec["inputs"]["chi2"] == 2 * np.pi / 3
+    # the record and the CSV hold the same rows, value for value
+    lines = out1.read_text().splitlines()[1:]
+    assert len(rec["rows"]) == len(lines)
+    for row, line in zip(rec["rows"], lines):
+        assert ",".join([row["parameter"], *(f"{row[c]:.17g}" for c in CSV_COLUMNS[1:])]) == line
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -263,7 +268,8 @@ def expect_usage_error(capsys, argv, mention):
 
 #: every flag of every command that takes a number other than an integer
 FLOAT_FLAGS = [(c, f[2:]) for c, (_, _, flags) in cli.COMMANDS.items()
-               for f, kwargs in flags.items() if kwargs.get("type") not in (None, int)]
+               for f, kwargs in flags.items()
+               if kwargs.get("type") not in (None, int, cli._nonnegative_int)]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -419,9 +425,12 @@ def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, ment
       "--delta1=-2"], "--delta1: must be nonnegative"),
     (["sweep", "--parameter", "alpha", "--start", "0", "--stop", "1", "--steps", "3",
       "--delta2=-2"], "--delta2: must be nonnegative"),
+    (["witness", "--weights", "w.json", "--floor-samples", "10", "--seed", "-1"],
+     "--seed: must be a nonnegative integer, got '-1'"),
 ], ids=["missing-flag", "unknown-flag", "bad-choice", "non-integer-seed", "no-command",
         "flag-prefixes", "non-numeric-float", "negative-alpha", "negative-delta1",
-        "negative-delta2", "sweep-negative-delta1", "sweep-negative-delta2"])
+        "negative-delta2", "sweep-negative-delta1", "sweep-negative-delta2",
+        "negative-seed"])
 def test_argparse_usage_errors_are_one_line(capsys, argv, mention):
     expect_usage_error(capsys, argv, mention)
 

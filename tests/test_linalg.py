@@ -2,7 +2,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from conftest import random_density, random_hermitian
-from doew import (build_mixture, correlation_matrix, hs_norm, partial_trace,
+from doew import (build_mixture, correlation_matrix, hs_distance, partial_trace,
                   partial_transpose, phi_state, MixtureWeights)
 
 
@@ -56,9 +56,10 @@ def test_partial_trace_phi1_maximally_mixed():
 
 
 def test_hs_norm():
-    assert abs(hs_norm(np.eye(4)) - 2.0) < 1e-14
-    assert hs_norm(np.zeros((3, 3))) == 0.0
-    assert abs(hs_norm(unit_matrix(0, 1)) - 1.0) < 1e-14
+    # the Hilbert-Schmidt norm of m is its distance to the zero matrix
+    assert abs(hs_distance(np.eye(4), 0 * np.eye(4)) - 2.0) < 1e-14
+    assert hs_distance(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
+    assert abs(hs_distance(unit_matrix(0, 1), 0 * unit_matrix(0, 1)) - 1.0) < 1e-14
 
 
 def test_trace_norm_equals_sqrt_trace(rng):
