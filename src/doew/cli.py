@@ -259,13 +259,19 @@ _SWEEP_FLAGS = {"weights": (None, "theta1 theta2 alpha"), "theta1": (0.0, "theta
                 "chi1": (np.pi / 3, "alpha"), "chi2": (2 * np.pi / 3, "alpha")}
 
 
-def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndarray]:
-    """Validated grid with the weights (one vector or a stack) and filter angles."""
+def _sweep_args(args) -> argparse.Namespace:
+    """A copy of args less func, --record and --out, sweep flags left at None defaulted."""
+    used = {k: v for k, v in vars(args).items() if k not in ("func", "record", "out")}
     for name, (default, readers) in _SWEEP_FLAGS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)   # so a --record holds the value used
+        if used[name] is None:
+            used[name] = default
         elif args.parameter not in readers.split():
             raise UsageError(f"a sweep over {args.parameter} does not read --{name}")
+    return argparse.Namespace(**used)
+
+
+def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndarray]:
+    """Validated grid with the weights (one vector or a stack) and filter angles."""
     if args.steps < 2:
         raise UsageError("steps must be at least 2")
     if not args.start < args.stop:
@@ -296,7 +302,7 @@ def _sweep_inputs(args) -> tuple[np.ndarray, MixtureWeights, np.ndarray, np.ndar
 def build_sweep_rows(args) -> list[list[float]]:
     """The sweep's table, a row of CSV_COLUMNS[1:] floats per grid point: numeric columns from
     blocks of SWEEP_BLOCK points (mixture, filter, SVD, PT spectrum), closed forms in one pass."""
-    grid, weights, theta1, theta2 = _sweep_inputs(args)
+    grid, weights, theta1, theta2 = _sweep_inputs(_sweep_args(args))
     # theta and alpha sweeps have one weight vector: one mixture serves every block
     fixed = mixtures(weights.q) if weights.q.ndim == 1 else None
     edge = edge_state()
@@ -315,9 +321,8 @@ def build_sweep_rows(args) -> list[list[float]]:
 def cmd_sweep(args) -> None:
     table = build_sweep_rows(args)
     if args.record:   # first, so that a record it cannot write leaves stdout empty
-        inputs = {k: v for k, v in vars(args).items() if k not in ("func", "record", "out")}
         rows = [dict(zip(CSV_COLUMNS, (args.parameter, *row))) for row in table]
-        _emit({"inputs": inputs, "rows": rows}, args.record)
+        _emit({"inputs": vars(_sweep_args(args)), "rows": rows}, args.record)
     line = args.parameter + ",%.17g" * 6 + "\n"
     _write(",".join(CSV_COLUMNS) + "\n" + "".join(line % tuple(row) for row in table), args.out)
 

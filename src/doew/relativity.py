@@ -34,29 +34,31 @@ LORENTZ_TOL = 1e-9
 SECTOR_WEIGHT_FLOOR = 1e-30
 
 
-def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
+def _check_unit(v: np.ndarray, name: str) -> tuple[float, float, float]:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_VECTOR_TOL:
+    x, y, z = v.tolist()
+    if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= UNIT_VECTOR_TOL:   # NaN refuses too
         raise ValueError(f"{name} must be a unit vector")
-    return v
+    return x, y, z
 
 
 def _half_angle_terms(alpha, e_hat: np.ndarray, delta: float, p_hat: np.ndarray):
     # bounded at any rapidity, alpha a scalar or an array: cos(Omega/2) = x / r and
     # sin(Omega/2) n_hat = t (e x p) / r, where t = tanh(alpha/2) tanh(delta/2),
-    # x = 1 + t e.p and r = sqrt(x^2 + t^2 |e x p|^2); also returns |e x p|
-    if not (np.all(alpha >= 0) and delta >= 0):
+    # x = 1 + t e.p and r = sqrt(x^2 + t^2 |e x p|^2); also returns |e x p|.  Floats for a
+    # scalar alpha (numpy's per-call cost dominates), np.tanh for both (so their bits agree)
+    array = isinstance(alpha, np.ndarray)
+    if not ((np.all(alpha >= 0) if array else alpha >= 0) and delta >= 0):
         raise ValueError("rapidities must be nonnegative")
-    e, p = _check_unit(e_hat, "e_hat"), _check_unit(p_hat, "p_hat")
-    # e x p written out: np.cross costs ten times more on two 3-vectors
-    cross = np.array([e[1] * p[2] - e[2] * p[1], e[2] * p[0] - e[0] * p[2],
-                      e[0] * p[1] - e[1] * p[0]])
+    (e1, e2, e3), (p1, p2, p3) = _check_unit(e_hat, "e_hat"), _check_unit(p_hat, "p_hat")
+    cross = (e2 * p3 - e3 * p2, e3 * p1 - e1 * p3, e1 * p2 - e2 * p1)
+    cross2 = cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2]
     t = np.tanh(alpha / 2) * np.tanh(delta / 2)
-    x = 1.0 + t * float(e @ p)
-    cross2 = float(cross @ cross)
-    return cross, np.sqrt(cross2), t, x, np.sqrt(x * x + t * t * cross2)
+    t, sqrt = (t, np.sqrt) if array else (float(t), math.sqrt)
+    x = 1.0 + t * (e1 * p1 + e2 * p2 + e3 * p3)
+    return cross, math.sqrt(cross2), t, x, sqrt(x * x + t * t * cross2)
 
 
 def wigner_half_angle(alpha: float, e_hat: np.ndarray,
@@ -72,7 +74,7 @@ def wigner_half_angle(alpha: float, e_hat: np.ndarray,
     cross, c, t, x, r = _half_angle_terms(alpha, e_hat, delta, p_hat)
     if alpha == 0.0 or delta == 0.0 or c < AXIS_TOL:
         return 1.0, np.zeros(3)
-    return float(x / r), t * cross / r
+    return float(x / r), np.array([t * v / r for v in cross])
 
 
 @dataclass(frozen=True)
@@ -90,26 +92,26 @@ def wigner_matrix(cos_half: float, sin_axis: np.ndarray) -> WignerRotation:
     sin_axis is sin(Omega/2) times the unit rotation axis; together with
     cos_half it must satisfy the normalization cos^2 + |sin_axis|^2 = 1.
     """
-    sin_axis = np.asarray(sin_axis, dtype=float)
-    s2 = float(sin_axis @ sin_axis)
+    v1, v2, v3 = np.asarray(sin_axis, dtype=float).tolist()
+    s2 = v1 * v1 + v2 * v2 + v3 * v3
     norm2 = cos_half ** 2 + s2
-    if abs(norm2 - 1.0) > HALF_ANGLE_NORM_TOL:
+    if not abs(norm2 - 1.0) <= HALF_ANGLE_NORM_TOL:   # NaN refuses too
         raise ValueError(f"half-angle normalization violated ({norm2!r})")
     # entries summed as cos_half I + i sum_k s_k sigma_k, keeping the signs of zeros
     c, o = cos_half * (1 + 0j), cos_half * 0j
-    i1, i2, i3 = (1j * x for x in sin_axis.tolist())
+    i1, i2, i3 = 1j * v1, 1j * v2, 1j * v3
     d = np.array([[c + i3, o + i1 + i2 * -1j], [o + i1 + i2 * 1j, c - i3]])
-    s = np.sqrt(s2)
+    s = math.sqrt(s2)
     if s < AXIS_TOL:
         # identity (or 2 pi, if cos_half = -1) rotation: axis is arbitrary
-        omega, axis = (0.0 if cos_half > 0 else 2.0 * np.pi), np.array([0.0, 0.0, 1.0])
+        omega, axis = (0.0 if cos_half > 0 else 2.0 * math.pi), np.array([0.0, 0.0, 1.0])
     else:
-        omega, axis = 2.0 * np.arctan2(s, cos_half), sin_axis / s
-    return WignerRotation(omega=float(omega), axis=axis, matrix=d)
+        omega, axis = 2.0 * math.atan2(s, cos_half), np.array([v1 / s, v2 / s, v3 / s])
+    return WignerRotation(omega=omega, axis=axis, matrix=d)
 
 
 def _pauli_product(x, y):
-    # (a + sigma.u)(b + sigma.v) = a b + u.v + sigma.(a v + b u + i u x v), u and v 3-tuples
+    # (a + sigma.u)(b + sigma.v) = a b + u.v + sigma.(a v + b u + i u x v), u and v 3-sequences
     (a, (u1, u2, u3)), (b, (v1, v2, v3)) = x, y
     return (a * b + u1 * v1 + u2 * v2 + u3 * v3,
             (a * v1 + b * u1 + 1j * (u2 * v3 - u3 * v2),
@@ -117,8 +119,8 @@ def _pauli_product(x, y):
              a * v3 + b * u3 + 1j * (u1 * v2 - u2 * v1)))
 
 
-def _pauli_dagger(x):
-    return x[0].conjugate(), tuple(c.conjugate() for c in x[1])
+def _pauli_dagger(a, u):
+    return a.conjugate(), (u[0].conjugate(), u[1].conjugate(), u[2].conjugate())
 
 
 def wigner_rotation_oracle(alpha: float, e_hat: np.ndarray,
@@ -133,17 +135,17 @@ def wigner_rotation_oracle(alpha: float, e_hat: np.ndarray,
     eight rounding units of that size, and W's deviation from unitarity, are
     within LORENTZ_TOL.
     """
-    e, p = _check_unit(e_hat, "e_hat").tolist(), _check_unit(p_hat, "p_hat").tolist()
+    (e1, e2, e3), (p1, p2, p3) = _check_unit(e_hat, "e_hat"), _check_unit(p_hat, "p_hat")
     try:
         ca, sa = math.cosh(alpha / 2), math.sinh(alpha / 2)
         cd, sd = math.cosh(delta / 2), math.sinh(delta / 2)
     except OverflowError as exc:
         raise ValueError(f"rapidities out of range ({exc})") from exc
-    m = _pauli_product((ca, tuple(sa * x for x in e)), (cd, tuple(sd * x for x in p)))
-    p0, pv = _pauli_product(m, _pauli_dagger(m))
+    m = _pauli_product((ca, (sa * e1, sa * e2, sa * e3)), (cd, (sd * p1, sd * p2, sd * p3)))
+    p0, pv = _pauli_product(m, _pauli_dagger(*m))
     s = math.sqrt(2.0 * p0.real + 2.0)
-    w = _pauli_product(((p0.real + 1.0) / s, tuple(-x.real / s for x in pv)), m)
-    g0, (g1, g2, g3) = _pauli_product(w, _pauli_dagger(w))
+    w = _pauli_product(((p0.real + 1.0) / s, [-x.real / s for x in pv]), m)
+    g0, (g1, g2, g3) = _pauli_product(w, _pauli_dagger(*w))
     bound = 8 * math.ulp(1.0) * (ca * cd + abs(sa * sd)) * s
     unitarity = max(abs(g0 - 1 + g3), abs(g0 - 1 - g3), abs(g1 - 1j * g2), abs(g1 + 1j * g2))
     if not (bound <= LORENTZ_TOL and unitarity <= LORENTZ_TOL):   # NaN refuses too

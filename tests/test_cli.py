@@ -243,6 +243,19 @@ def test_sweep_deterministic_and_recorded(tmp_path, capsys):
         assert ",".join([row["parameter"], *(f"{row[c]:.17g}" for c in CSV_COLUMNS[1:])]) == line
 
 
+@pytest.mark.parametrize("parameter", ["q1", "theta2", "alpha"])
+def test_build_sweep_rows_twice_on_one_namespace(tmp_path, parameter):
+    # a library caller may reuse its parsed args; the defaults go to a copy
+    argv = ["sweep", "--parameter", parameter, "--start", "0", "--stop", "0.5", "--steps", "5"]
+    if parameter != "q1":
+        argv += ["--weights", write_weights(tmp_path, ACCEPTANCE)]
+    args = cli.build_parser().parse_args(argv)
+    parsed = dict(vars(args))
+    first = cli.build_sweep_rows(args)
+    assert cli.build_sweep_rows(args) == first
+    assert vars(args) == parsed
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_sweep_rejects_non_finite_weights(tmp_path, capsys, bad):
     path = write_weights(tmp_path, {1: bad, 3: 1.0})

@@ -28,20 +28,24 @@ def test_half_angle_normalization_grid():
                 assert abs(c ** 2 + v @ v - 1.0) < 1e-12
 
 
+def assert_half_angle_types(c, v):
+    # a float and a float64 (3,) array: numpy scalars would slow every later scalar step
+    assert type(c) is float and v.dtype == np.float64 and v.shape == (3,)
+
+
 def test_half_angle_identity_cases():
-    c, v = wigner_half_angle(0.0, EZ, 2.0, EY)
-    assert c == 1.0 and not v.any()
-    c, v = wigner_half_angle(1.3, EZ, 2.0, EZ)
-    assert c == 1.0 and not v.any()
-    c, v = wigner_half_angle(1.3, EZ, 2.0, -EZ)
-    assert c == 1.0 and not v.any()
-    c, v = wigner_half_angle(1.3, EZ, 0.0, EY)
-    assert c == 1.0 and not v.any()
+    # alpha = 0, collinear (parallel and antiparallel) and delta = 0
+    for alpha, delta, p_hat in ((0.0, 2.0, EY), (1.3, 2.0, EZ), (1.3, 2.0, -EZ), (1.3, 0.0, EY)):
+        c, v = wigner_half_angle(alpha, EZ, delta, p_hat)
+        assert c == 1.0 and not v.any()
+        assert_half_angle_types(c, v)
 
 
 def test_half_angle_orthogonal_value():
     # alpha = delta = 1 with orthogonal boost and momentum
-    c, _ = wigner_half_angle(1.0, EZ, 1.0, EY)
+    c, v = wigner_half_angle(1.0, EZ, 1.0, EY)
+    assert_half_angle_types(c, v)
+    assert type(wigner_matrix(c, v).omega) is float
     expected = np.cosh(0.5) ** 2 / np.sqrt(0.5 + 0.5 * np.cosh(1.0) ** 2)
     assert abs(c - expected) < 1e-14
     oc, _ = wigner_rotation_oracle(1.0, EZ, 1.0, EY)
@@ -53,6 +57,24 @@ def test_half_angle_input_validation():
         wigner_half_angle(-0.1, EZ, 1.0, EY)
     with pytest.raises(ValueError):
         wigner_half_angle(0.1, np.array([0.0, 0.0, 2.0]), 1.0, EY)
+
+
+KINEMATIC_CALLS = {
+    "wigner_half_angle": lambda e, p: wigner_half_angle(1.0, e, 2.0, p),
+    "wigner_rotation_oracle": lambda e, p: wigner_rotation_oracle(1.0, e, 2.0, p),
+    "effective_angles": lambda e, p: effective_angles(1.0, e, 2.0, p, 2.0, EY),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("direction", ["e_hat", "p_hat"])
+@pytest.mark.parametrize("call", KINEMATIC_CALLS)
+def test_non_finite_directions_are_refused(call, direction, bad):
+    # a NaN fails every comparison, so a norm check written with > would let it through
+    vec = np.array([bad, 0.0, 1.0])
+    e, p = (vec, EY) if direction == "e_hat" else (EZ, vec)
+    with pytest.raises(ValueError, match=f"{direction} must be a unit vector"):
+        KINEMATIC_CALLS[call](e, p)
 
 
 def test_half_angle_matches_lorentz_oracle(rng):
@@ -105,10 +127,10 @@ def test_standard_boost_rejects_nan():
 def test_wigner_matrix_identity_and_half_turn():
     rot = wigner_matrix(1.0, np.zeros(3))
     assert_allclose(rot.matrix, np.eye(2), atol=1e-15)
-    assert rot.omega == 0.0
+    assert rot.omega == 0.0 and type(rot.omega) is float
     rot = wigner_matrix(0.0, np.array([1.0, 0.0, 0.0]))
     assert_allclose(rot.matrix, 1j * np.array([[0, 1], [1, 0]]), atol=1e-15)
-    assert abs(rot.omega - np.pi) < 1e-15
+    assert abs(rot.omega - np.pi) < 1e-15 and type(rot.omega) is float
 
 
 def test_wigner_matrix_unitary_det_one(rng):
@@ -142,6 +164,14 @@ def test_wigner_matrix_is_the_pauli_sum_bit_for_bit(rng):
 def test_wigner_matrix_rejects_bad_normalization():
     with pytest.raises(ValueError):
         wigner_matrix(1.0, np.array([0.5, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("cos_half, sin_axis", [
+    (np.nan, [0.0, 0.0, 0.0]), (1.0, [np.nan, 0.0, 0.0]), (0.0, [0.0, np.nan, 1.0]),
+    (np.inf, [0.0, 0.0, 0.0]), (0.0, [0.0, 0.0, -np.inf])])
+def test_wigner_matrix_refuses_non_finite_half_angles(cos_half, sin_axis):
+    with pytest.raises(ValueError, match="normalization"):
+        wigner_matrix(cos_half, np.array(sin_axis))
 
 
 def test_boost_unitary_blocks(rng):
