@@ -16,7 +16,7 @@ cos(theta_i / 2) and the result renormalized; equal angles return the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def wigner_half_angle(alpha: float, e_hat: np.ndarray,
     return float(x / r), np.array([t * v / r for v in cross])
 
 
-@dataclass(frozen=True)
-class WignerRotation:
+class WignerRotation(NamedTuple):
     """Spin-1/2 rotation D = cos(Omega/2) I + i sin(Omega/2) sigma.n_hat."""
 
     omega: float

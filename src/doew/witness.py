@@ -30,6 +30,7 @@ from .states import MixtureWeights
 RANK_TOL = 1e-10
 TIE_TOL = 1e-12
 FLOOR_CERT_TOL = 1e-12
+_FLOOR_FIRST = 1024   # partner matrices solved whole to seed the floor
 _FLOOR_CHUNK = 8192
 
 
@@ -63,6 +64,11 @@ _QF = operator_basis().reshape(16, 16)
 # QF = diag(d) P with P real, as each Q_i is real or imaginary (d_i = 1 or i)
 _QF_REAL = _QF.real + _QF.imag
 _QF_PHASE = np.where(_QF.imag.any(axis=1), 1j, 1.0)
+_DD = np.outer(_QF_PHASE, _QF_PHASE)   # d d^t: entrywise 1, i or -1
+# rows 2k, 2k + 1 of _QFT_RI are Re, -Im of QF^t[k]: X seen as floats times it is Re(X QF^t);
+# the columns of _QF_RI interleave Re and Im of QF: v _QF_RI has v QF's complex layout
+_QFT_RI = np.stack([_QF.T.real, -_QF.T.imag], axis=1).reshape(32, 16)
+_QF_RI = np.stack([_QF.real, _QF.imag], axis=-1).reshape(16, 32)
 _RT_BLOCKS = ((0, 1, 4, 5), (2, 3, 12, 13, 14, 15), (6, 8, 9, 11), (7, 10))   # of a family mixture
 
 
@@ -77,16 +83,19 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     stack of shape (..., 16, 16).
 
     Tr(rho Q_i (x) Q_j) = sum rho[(p,q),(r,s)] Q_i[r,p] Q_j[s,q]: with rho realigned into
-    X[(r,p),(s,q)], QF X QF^t = d d^t * (P X P^t), real products for a real rho.
+    X[(r,p),(s,q)], QF X QF^t = d d^t * S with S = P X P^t, real products for a real rho.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (16, 16):
         raise ValueError("expected a 16x16 operator")
-    rt = np.outer(_QF_PHASE, _QF_PHASE) * (_QF_REAL @ _realign(rho, (2, 0, 3, 1)) @ _QF_REAL.T)
-    residue = float(np.max(np.abs(rt.imag)))
+    s = _QF_REAL @ _realign(rho, (2, 0, 3, 1)) @ _QF_REAL.T
+    rt, im = s * _DD.real, s * _DD.imag   # Re and Im of d d^t * S for a real S
+    if np.iscomplexobj(s):
+        rt, im = rt.real - im.imag, rt.imag + im.real   # from the parts of a complex S
+    residue = float(np.max(np.abs(im)))
     if residue > HERMITIAN_TOL:
         raise ValueError(f"imaginary residue {residue:.3e} signals a non-Hermitian input")
-    return rt.real
+    return rt
 
 
 @dataclass(frozen=True)
@@ -220,7 +229,12 @@ def random_product_states(samples: int, seed: int) -> tuple[np.ndarray, np.ndarr
 
 def _expectations(states: np.ndarray) -> np.ndarray:
     """<s|Q_q|s> for each row s of an (n, 4) stack: flattened s* s^t times QF^t."""
-    return ((states.conj()[:, :, None] * states[:, None, :]).reshape(-1, 16) @ _QF.T).real
+    return (states.conj()[:, :, None] * states[:, None, :]).reshape(-1, 16).view(float) @ _QFT_RI
+
+
+def _partner_matrices(v: np.ndarray) -> np.ndarray:
+    """sum_q v_q Q_q for each row of a real (n, 16) stack, shape (n, 4, 4)."""
+    return (v @ _QF_RI).view(complex).reshape(-1, 4, 4)
 
 
 def _above(m: np.ndarray, x: float) -> np.ndarray:
@@ -245,7 +259,8 @@ def separability_floor_check(A: np.ndarray, samples: int = 100_000, seed: int = 
     true contact point of a tight witness; plain pair sampling leaves a gap of
     order samples**(-1/3).  The first-step guarantee predicts 1 - sigma_max(A).
 
-    Past a first chunk, ``eigvalsh`` skips each M with positive LDL^H pivots of
+    Past the first _FLOOR_FIRST = 1024 partner matrices, which are solved whole,
+    ``eigvalsh`` skips each M, chunk by chunk, with positive LDL^H pivots of
     M - (best + margin) I, margin = FLOOR_CERT_TOL (1 + |best| + max|v|); as that
     dwarfs both rounding errors, the floor is bitwise a whole-stack ``eigvalsh``'s.
     """
@@ -256,10 +271,10 @@ def separability_floor_check(A: np.ndarray, samples: int = 100_000, seed: int = 
     v = _expectations(_haar_states(rng, samples)) @ A
     if optimize_partner:
         # the partner sees sum_q v_q Q_q; its best state gives the lowest eigenvalue
-        m = (v @ _QF).reshape(-1, 4, 4)
-        best = np.linalg.eigvalsh(m[:_FLOOR_CHUNK])[:, 0].min()
+        m = _partner_matrices(v)
+        best = np.linalg.eigvalsh(m[:_FLOOR_FIRST])[:, 0].min()
         scale = 1.0 + max(v.max(), -v.min())
-        for lo in range(_FLOOR_CHUNK, len(m), _FLOOR_CHUNK):
+        for lo in range(_FLOOR_FIRST, len(m), _FLOOR_CHUNK):
             chunk = m[lo:lo + _FLOOR_CHUNK]
             unsure = ~_above(chunk, best + FLOOR_CERT_TOL * (scale + abs(best)))
             flat = 2 * unsure.sum() > len(chunk)   # then solve the rest whole

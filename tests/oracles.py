@@ -14,7 +14,7 @@ from doew import (edge_weights, hs_distance, kkt_witness, operator_basis,
                   ppt_spectrum, random_product_states, two_particle_bell)
 from doew.relativity import LORENTZ_TOL
 from doew.states import _PHI_RECIPE
-from doew.witness import _QF, _expectations
+from doew.witness import _expectations, _partner_matrices
 
 BELL_ANGLE = np.pi / 4
 
@@ -64,7 +64,7 @@ def separability_floor_two_party(A: np.ndarray, samples: int, seed: int) -> floa
     the first party of a full two-party ``random_product_states`` draw."""
     a, _ = random_product_states(samples, seed)
     v = _expectations(a) @ A
-    return float(1.0 + np.linalg.eigvalsh((v @ _QF).reshape(-1, 4, 4))[:, 0].min())
+    return float(1.0 + np.linalg.eigvalsh(_partner_matrices(v))[:, 0].min())
 
 
 def filter_kron(theta1: float, theta2: float) -> np.ndarray:

@@ -361,11 +361,13 @@ def floor_coefficients(draw):
 @SETTINGS
 @given(floor_coefficients(), st.integers(0, 2 ** 32 - 1))
 def test_certified_floor_is_bitwise_the_whole_stack_floor(A, seed):
-    # a 64-matrix chunk puts 1, C - 1, C, C + 1 and 2C + 5 samples on every
-    # chunk boundary the floor check has, at a small cost
-    chunk = 64
-    with mock.patch.object(witness, "_FLOOR_CHUNK", chunk):
-        for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+    # a 16-matrix first chunk F and 64-matrix chunks C put n on every boundary the
+    # floor check has, at a small cost
+    first, chunk = 16, 64
+    with mock.patch.object(witness, "_FLOOR_FIRST", first), \
+            mock.patch.object(witness, "_FLOOR_CHUNK", chunk):
+        for n in (1, first - 1, first, first + 1, first + chunk - 1, first + chunk,
+                  first + chunk + 1, first + 2 * chunk + 5):
             assert separability_floor_check(A, n, seed) == separability_floor_two_party(A, n, seed)
 
 

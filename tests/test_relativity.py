@@ -133,6 +133,13 @@ def test_wigner_matrix_identity_and_half_turn():
     assert abs(rot.omega - np.pi) < 1e-15 and type(rot.omega) is float
 
 
+@pytest.mark.parametrize("field", ["omega", "axis", "matrix"])
+def test_wigner_rotation_fields_cannot_be_assigned(field):
+    rot = wigner_matrix(0.6, np.array([0.0, 0.0, 0.8]))
+    with pytest.raises(AttributeError):
+        setattr(rot, field, None)
+
+
 def test_wigner_matrix_unitary_det_one(rng):
     for _ in range(20):
         omega = rng.uniform(0, np.pi)

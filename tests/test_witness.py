@@ -9,6 +9,7 @@ from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
                   effective_boost_mixture, kappa, kkt_witness, operator_basis,
                   partial_transpose, phi_state, random_product_states,
                   separability_floor_check, witness_operator)
+from doew.witness import _FLOOR_FIRST, _QF, _partner_matrices
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -312,16 +313,23 @@ def test_floor_of_a_non_finite_witness_is_a_linalg_error(value):
         separability_floor_check(np.full((16, 16), value), 20_000, 1)
 
 
+def test_partner_matrices_are_the_complex_product_with_the_basis(rng):
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * rng.normal(size=(500, 16))
+        want = (v @ _QF).reshape(-1, 4, 4)
+        assert np.max(np.abs(_partner_matrices(v) - want)) <= 1e-15 * scale
+
+
 def test_floor_check_solves_few_partner_matrices(monkeypatch):
-    # the skip certificate leaves eigvalsh under a quarter of the partner
-    # matrices of a witness with isolated contact points; a flat witness, whose
-    # every first party has a partner at the minimum, solves each matrix once
+    # the skip certificate leaves eigvalsh little beyond the first chunk for a
+    # witness with isolated contact points; a flat witness, whose every first
+    # party has a partner at the minimum, solves each matrix once
     sent, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sent.append(len(m)) or eigvalsh(m))
     rho = build_mixture(random_odd_weights(np.random.default_rng(2)))
     A = kkt_witness(effective_boost_mixture(rho, 0.4, 1.1))[0].A
     assert separability_floor_check(A, 100_000, 1) > 1e-8
-    assert sum(sent) <= 25_000
+    assert sum(sent) <= 2 * _FLOOR_FIRST
     sent.clear()
     assert abs(separability_floor_check(-np.eye(16), 100_000, 1)) < 1e-12
     assert sum(sent) <= 100_000
