@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -61,9 +62,15 @@ def _jsonable(value):
 
 
 def _load_weights(path: str) -> MixtureWeights:
+    def unique_keys(pairs):
+        repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        if repeated:   # a plain json.load would keep the last value
+            raise UsageError(f"repeated key {repeated[0]!r} in weights file {path!r}")
+        return dict(pairs)
+
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON file {path!r}: {exc}") from exc
     if not isinstance(data, dict):

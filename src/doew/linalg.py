@@ -62,10 +62,10 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int] = (4, 4),
     return np.einsum(subscripts, r4)
 
 
-def block_spectrum(spectrum, m: np.ndarray, blocks) -> np.ndarray:
-    """spectrum (of a matrix stack, along the last axis) of each block m[..., b, b] of the
-    partition blocks, concatenated, if m is exactly 0 off the blocks; else spectrum(m)."""
-    parts = [m[..., b, :][..., b] for b in blocks]
-    if sum(map(np.count_nonzero, parts)) < np.count_nonzero(m):
+def block_spectrum(spectrum, m: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """spectrum (along the last axis) of the blocks m[..., b, b], rows b of the (k, s) partition
+    blocks, one contiguous (..., k, s, s) stack, if m is exactly 0 off them; else spectrum(m)."""
+    parts = np.ascontiguousarray(m[..., blocks[:, :, None], blocks[:, None, :]])
+    if np.count_nonzero(parts) < np.count_nonzero(m):
         return spectrum(m)
-    return np.concatenate([spectrum(part) for part in parts], axis=-1)
+    return spectrum(parts).reshape(m.shape[:-1])

@@ -27,7 +27,7 @@ EQUALITY_PAIRS = ((1, 7), (3, 5), (9, 13), (11, 15))
 HALF_SUM_INDICES = (1, 3, 11, 9)
 
 _PAIR_FIRST, _PAIR_SECOND = np.array(EQUALITY_PAIRS).T - 1   # 0-based members
-_PT_BLOCKS = ((0, 3, 5, 6, 9, 10, 12, 15), (1, 2, 4, 7, 8, 11, 13, 14))   # of a family mixture
+_PT_BLOCKS = np.array([(0, 3, 5, 6, 9, 10, 12, 15), (1, 2, 4, 7, 8, 11, 13, 14)])
 
 
 def ppt_spectrum(rho: np.ndarray, party: str = "A") -> np.ndarray:

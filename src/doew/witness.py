@@ -69,7 +69,7 @@ _DD = np.outer(_QF_PHASE, _QF_PHASE)   # d d^t: entrywise 1, i or -1
 # the columns of _QF_RI interleave Re and Im of QF: v _QF_RI has v QF's complex layout
 _QFT_RI = np.stack([_QF.T.real, -_QF.T.imag], axis=1).reshape(32, 16)
 _QF_RI = np.stack([_QF.real, _QF.imag], axis=-1).reshape(16, 32)
-_RT_BLOCKS = ((0, 1, 4, 5), (2, 3, 12, 13, 14, 15), (6, 8, 9, 11), (7, 10))   # of a family mixture
+_RT_BLOCKS = np.array([(0, 1, 4, 5, 6, 8, 9, 11), (2, 3, 7, 10, 12, 13, 14, 15)])
 
 
 def _realign(m: np.ndarray, axes: tuple[int, int, int, int]) -> np.ndarray:
@@ -138,8 +138,8 @@ def kkt_witness(rho: np.ndarray) -> tuple[WitnessCoefficients, np.ndarray]:
 
 
 def witness_min_value(rho: np.ndarray) -> np.ndarray:
-    """min Tr(W rho) = 1 - Tr sqrt(rho_tilde^t rho_tilde) of the optimal witness, per
-    matrix of a stack: ``kkt_witness``'s min_value, from SVDs of rho_tilde's exact blocks."""
+    """min Tr(W rho) = 1 - Tr sqrt(rho_tilde^t rho_tilde) of the optimal witness, per matrix
+    of a stack: ``kkt_witness``'s min_value, from SVDs of a family rho_tilde's exact blocks."""
     return 1.0 - block_spectrum(lambda m: np.linalg.svd(m, compute_uv=False),
                                 correlation_matrix(rho), _RT_BLOCKS).sum(axis=-1)
 

@@ -165,11 +165,11 @@ def test_stacked_spectra_match_per_matrix(rng):
 
 
 def lapack_shapes(monkeypatch):
-    """The matrix shapes passed to svd and eigvalsh from now on, in call order."""
+    """The input shapes passed to svd and eigvalsh from now on, in call order."""
     shapes = []
     for name in ("svd", "eigvalsh"):
         def counted(m, *args, _original=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(m)[-2:])
+            shapes.append(np.shape(m))
             return _original(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return shapes
@@ -194,7 +194,10 @@ def test_family_stacks_take_the_block_path(rng, monkeypatch, parity):
     shapes = lapack_shapes(monkeypatch)
     assert np.max(np.abs(witness_min_value(stack) - value)) <= 4e-15
     assert np.max(np.abs(ppt_spectrum(stack) - spectrum)) <= 4e-15
-    assert shapes == [(4, 4), (6, 6), (4, 4), (2, 2), (8, 8), (8, 8)]
+    # one matrix also makes one call per spectrum, on its two 8x8 blocks
+    assert np.max(np.abs(witness_min_value(stack[0]) - value[0])) <= 4e-15
+    assert np.max(np.abs(ppt_spectrum(stack[0]) - spectrum[0])) <= 4e-15
+    assert shapes == [(6, 2, 8, 8), (6, 2, 8, 8), (2, 8, 8), (2, 8, 8)]
 
 
 @pytest.mark.parametrize("kind", ["float", "complex", "family-with-tiny-off-block-pair"])
@@ -214,7 +217,7 @@ def test_random_density_stacks_take_the_dense_path(rng, monkeypatch, kind):
     shapes = lapack_shapes(monkeypatch)
     assert np.array_equal(witness_min_value(stack), value)
     assert np.array_equal(ppt_spectrum(stack), spectrum)
-    assert shapes == [(16, 16), (16, 16)]
+    assert shapes == [(4, 16, 16), (4, 16, 16)]
 
 
 def components(m):
@@ -225,10 +228,19 @@ def components(m):
     return {tuple(np.flatnonzero(row)) for row in reach}
 
 
+#: the connected components of rho_tilde, then of the partial transpose, of a family mixture
+RT_COMPONENTS = {(0, 1, 4, 5), (2, 3, 12, 13, 14, 15), (6, 8, 9, 11), (7, 10)}
+PT_COMPONENTS = {(0, 3, 5, 6, 9, 10, 12, 15), (1, 2, 4, 7, 8, 11, 13, 14)}
+
+
 def test_block_index_sets_follow_from_the_family_sparsity(rng):
     rho = effective_boost_mixture(build_mixture(random_odd_weights(rng)), 0.4, 2.1)
-    assert components(correlation_matrix(rho)) == set(doew.witness._RT_BLOCKS)
-    assert components(partial_transpose(rho)) == set(doew.ppt._PT_BLOCKS)
+    for m, found, blocks in ((correlation_matrix(rho), RT_COMPONENTS, doew.witness._RT_BLOCKS),
+                             (partial_transpose(rho), PT_COMPONENTS, doew.ppt._PT_BLOCKS)):
+        assert components(m) == found
+        # each block is a union of components, and the blocks partition 0..15
+        assert all(any(set(c) <= set(row) for row in blocks.tolist()) for c in found)
+        assert sorted(blocks.ravel().tolist()) == list(range(16))
 
 
 @pytest.mark.parametrize("entry", [1e-3, 2e-11])

@@ -413,7 +413,11 @@ def test_memory_error_is_a_computation_error(capsys, monkeypatch):
     ('{"q": {"1": 0.2, "01": 0.5, "3": 0.5}, "parity": "odd"}', "'01'"),
     ('{"q": {"1": 1.0}, "Parity": "odd"}', "'Parity'"),
     ('{"q": {"1": 1%s}, "parity": "odd"}' % ("0" * 400), "too large"),
-], ids=["bool", "string", "repeated-index", "unknown-key", "huge-integer"])
+    ('{"q": {"1": 0.9, "3": 0.6, "1": 0.4}, "parity": "odd"}', "repeated key '1'"),
+    ('{"q": {"1": 0.5, "3": 0.5}, "parity": "odd", "parity": "free"}',
+     "repeated key 'parity'"),
+], ids=["bool", "string", "repeated-index", "unknown-key", "huge-integer", "repeated-key",
+        "repeated-top-level-key"])
 def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, mention):
     # each of these files was once read as some other weights, or crashed
     path = tmp_path / "w.json"

@@ -204,8 +204,9 @@ def test_block_spectra_match_the_dense_ones(grid):
     with (mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
           mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh):
         value, spectrum = witness_min_value(rho), ppt_spectrum(rho)
-    assert [c.args[0].shape[-1] for c in svd.call_args_list] == [4, 6, 4, 2]
-    assert [c.args[0].shape[-1] for c in eigvalsh.call_args_list] == [8, 8]
+    # one call each, on the two 8x8 blocks of every matrix
+    assert [c.args[0].shape for c in svd.call_args_list] == [rho.shape[:-2] + (2, 8, 8)]
+    assert [c.args[0].shape for c in eigvalsh.call_args_list] == [rho.shape[:-2] + (2, 8, 8)]
     dense = 1.0 - np.linalg.svd(correlation_matrix(rho), compute_uv=False).sum(axis=-1)
     assert np.max(np.abs(value - dense)) <= 4e-15
     assert np.max(np.abs(spectrum - np.linalg.eigvalsh(partial_transpose(rho)))) <= 4e-15
