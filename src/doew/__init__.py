@@ -17,8 +17,7 @@ from .measures import (ConcurrenceReport, EntropyReport, doew_from_edge,
                        hs_distance, kappa, reduced_eigenvalue_pair,
                        relativistic_witness_value)
 from .ppt import (FeasibleRegionReport, closed_form_momentum_pt, edge_state,
-                  edge_weights, feasible_region_check,
-                  momentum_label_pt_spectrum, ppt_spectrum)
+                  edge_weights, feasible_region_check, ppt_spectrum)
 from .relativity import (WignerRotation, boost_mixture, boost_pure,
                          effective_angles, effective_boost_mixture,
                          effective_boost_pure, sector_weights,

@@ -6,7 +6,7 @@ real stacked blocks of SWEEP_BLOCK points; it refuses flags its --parameter over
 never reads).  Exit codes: 0 success, 1 computation-domain error, 2 usage or parse error.
 
 Weights files are JSON of the form {"q": {"1": 0.4, "3": 0.2, ...},
-"parity": "odd"} with 1-based indices; missing indices are zero.
+"parity": "odd"} with 1-based ASCII-digit indices; missing indices are zero.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .linalg import partial_trace
 from .measures import (entropy_formula, entropy_pure, generalized_concurrence,
                        hs_distance, relativistic_witness_value)
 from .ppt import (closed_form_momentum_pt, edge_state, feasible_family,
-                  feasible_region_check, momentum_label_pt_spectrum, ppt_spectrum)
+                  feasible_region_check, ppt_spectrum)
 from .relativity import (effective_angles, effective_boost_mixture,
                          effective_boost_pure, wigner_half_angle,
                          wigner_matrix, wigner_rotation_oracle)
@@ -82,22 +82,6 @@ def _load_weights(path: str) -> MixtureWeights:
                                            parity=data.get("parity", "free"))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid weights in {path!r}: {exc}") from exc
-
-
-def _parse_vec(text: str) -> np.ndarray:
-    """The unit vector along comma-separated components."""
-    try:
-        v = np.array([float(part) for part in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated floats, got {text!r}") from exc
-    if v.shape != (3,):
-        raise UsageError(f"expected three components, got {text!r}")
-    peak = np.max(np.abs(v))
-    if not 0.0 < peak < np.inf:
-        raise UsageError(f"expected a finite nonzero vector, got {text!r}")
-    # an exact power-of-two rescale to the largest component keeps the norm finite
-    v = np.ldexp(v, -np.frexp(peak)[1])
-    return v / np.linalg.norm(v)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -157,12 +141,10 @@ def cmd_rho(args) -> dict:
 
 
 def cmd_boost(args) -> dict:
-    e_hat = _parse_vec(args.e)
     particles = []
-    for delta, p_text in ((args.delta1, args.p1), (args.delta2, args.p2)):
-        p_hat = _parse_vec(p_text)
-        cos_half, sin_axis = wigner_half_angle(args.alpha, e_hat, delta, p_hat)
-        oc, ov = wigner_rotation_oracle(args.alpha, e_hat, delta, p_hat)
+    for delta, p_hat in ((args.delta1, args.p1), (args.delta2, args.p2)):
+        cos_half, sin_axis = wigner_half_angle(args.alpha, args.e, delta, p_hat)
+        oc, ov = wigner_rotation_oracle(args.alpha, args.e, delta, p_hat)
         rot = wigner_matrix(cos_half, sin_axis)
         residual = max(abs(cos_half - oc), float(np.max(np.abs(sin_axis - ov))))
         particles.append({
@@ -177,7 +159,7 @@ def cmd_boost(args) -> dict:
         })
     return {
         "alpha": args.alpha,
-        "e_hat": e_hat,
+        "e_hat": args.e,
         "particles": particles,
         "effective_angles": [p["omega"] for p in particles],
     }
@@ -185,18 +167,17 @@ def cmd_boost(args) -> dict:
 
 def cmd_ppt(args) -> dict:
     weights, rho = _load_state(args)
-    spec_a = ppt_spectrum(rho, "A")
-    spec_b = ppt_spectrum(rho, "B")
+    spectrum = ppt_spectrum(rho)   # rho^T_B = (rho^T_A)^T: one spectrum for both
     doc = {
         "theta1": args.theta1,
         "theta2": args.theta2,
-        "ppt_spectrum_A": spec_a,
-        "ppt_spectrum_B": spec_b,
-        "min_eigenvalue_A": spec_a[0],
-        "min_eigenvalue_B": spec_b[0],
+        "ppt_spectrum_A": spectrum,
+        "ppt_spectrum_B": spectrum,
+        "min_eigenvalue_A": spectrum[0],
+        "min_eigenvalue_B": spectrum[0],
     }
     if weights.parity == "odd":
-        mom = momentum_label_pt_spectrum(rho)
+        mom = ppt_spectrum(rho, dims=(2, 8))
         closed = closed_form_momentum_pt(weights, args.theta1, args.theta2)
         doc["feasible_region"] = asdict(feasible_region_check(weights))
         doc["momentum_label_spectrum"] = mom
@@ -206,6 +187,8 @@ def cmd_ppt(args) -> dict:
 
 
 def cmd_witness(args) -> dict:
+    if args.seed is not None and not args.floor_samples:
+        raise UsageError("--seed needs --floor-samples: nothing else is sampled")
     weights, rho = _load_state(args)
     coeffs, w = kkt_witness(rho)
     doc = {
@@ -226,9 +209,10 @@ def cmd_witness(args) -> dict:
         except TieError as exc:
             doc["warning"] = f"closed-form table undefined ({exc}); using KKT coefficients"
     if args.floor_samples:
+        seed = DEFAULT_SEED if args.seed is None else args.seed
         doc["separability_floor"] = separability_floor_check(
-            coeffs.A, samples=args.floor_samples, seed=args.seed)
-        doc["seed"] = args.seed
+            coeffs.A, samples=args.floor_samples, seed=seed)
+        doc["seed"] = seed
     return doc
 
 
@@ -319,7 +303,7 @@ def build_sweep_rows(args) -> list[list[float]]:
         rho = mixtures(weights.q[block]) if fixed is None else fixed
         boosted = effective_boost_mixture(rho, theta1[block], theta2[block])
         numeric[block] = witness_min_value(boosted)
-        min_ppt[block] = ppt_spectrum(boosted, "A")[:, 0]
+        min_ppt[block] = ppt_spectrum(boosted)[:, 0]
         hs[block] = hs_distance(edge, boosted)
     return np.column_stack((grid, relativistic_witness_value(weights, theta1, theta2),
                             numeric, entropy_formula(theta1, theta2), min_ppt, hs)).tolist()
@@ -366,6 +350,22 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _parse_vec(text: str) -> np.ndarray:
+    """The argparse type of a vector flag: the unit vector along comma-separated components."""
+    try:
+        v = np.array([float(part) for part in text.split(",")], dtype=float)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+    if v.shape != (3,):
+        raise argparse.ArgumentTypeError(f"expected three components, got {text!r}")
+    peak = np.max(np.abs(v))
+    if not 0.0 < peak < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite nonzero vector, got {text!r}")
+    # an exact power-of-two rescale to the largest component keeps the norm finite
+    v = np.ldexp(v, -np.frexp(peak)[1])
+    return v / np.linalg.norm(v)
+
+
 _WEIGHTS = {"--weights": dict(required=True, help="weights JSON file")}
 _THETA = {"--theta": dict(type=_finite, default=BELL_TYPE_ANGLE,
                           help="mixing angle of the state family (default pi/4)")}
@@ -387,18 +387,18 @@ COMMANDS = {
         **_THETA, **_FILTER}),
     "boost": (cmd_boost, "Wigner rotation data for two particles", {
         "--alpha": dict(type=_rapidity, required=True, help="observer rapidity"),
-        "--e": dict(default="0,0,1", help="boost direction (comma separated)"),
+        "--e": dict(type=_parse_vec, default="0,0,1", help="boost direction (comma separated)"),
         "--delta1": dict(type=_rapidity, default=2.0),
-        "--p1": dict(default="0,0.8660254037844386,0.5"),
+        "--p1": dict(type=_parse_vec, default="0,0.8660254037844386,0.5"),
         "--delta2": dict(type=_rapidity, default=2.0),
-        "--p2": dict(default="0,0.8660254037844386,-0.5")}),
+        "--p2": dict(type=_parse_vec, default="0,0.8660254037844386,-0.5")}),
     "ppt": (cmd_ppt, "partial-transpose spectra and feasible region",
             {**_WEIGHTS, **_FILTER}),
     "witness": (cmd_witness, "construct the optimal witness", {
         **_WEIGHTS, "--floor-samples": dict(type=_nonnegative_int, default=0, help=(
             "also sample the separable-state floor with this many states")),
-        **_FILTER, "--seed": dict(type=_nonnegative_int, default=DEFAULT_SEED,
-                                  help=f"seed for all sampling (default {DEFAULT_SEED})")}),
+        **_FILTER, "--seed": dict(type=_nonnegative_int, help=(
+            f"seed of the --floor-samples states (default {DEFAULT_SEED})"))}),
     "measure": (cmd_measure, "entanglement measures for a mixture",
                 {**_WEIGHTS, **_FILTER}),
     "sweep": (cmd_sweep, "sweep one parameter and emit CSV", {

@@ -27,24 +27,17 @@ EQUALITY_PAIRS = ((1, 7), (3, 5), (9, 13), (11, 15))
 HALF_SUM_INDICES = (1, 3, 11, 9)
 
 _PAIR_FIRST, _PAIR_SECOND = np.array(EQUALITY_PAIRS).T - 1   # 0-based members
+# the even and odd bit-parity sectors of the 4-bit two-particle index: a family mixture
+# conserves that parity, and a transpose over any index bits keeps it so, for every split
 _PT_BLOCKS = np.array([(0, 3, 5, 6, 9, 10, 12, 15), (1, 2, 4, 7, 8, 11, 13, 14)])
 
 
-def ppt_spectrum(rho: np.ndarray, party: str = "A") -> np.ndarray:
-    """Ascending eigenvalues of the particle-particle partial transpose, per matrix of a
-    stack (..., 16, 16); eigvalsh by the exact 8x8 blocks of a family mixture's."""
-    pt = partial_transpose(require_hermitian(rho), (4, 4), party)
+def ppt_spectrum(rho: np.ndarray, *, dims: tuple[int, int] = (4, 4)) -> np.ndarray:
+    """Ascending eigenvalues of the transpose over the first factor of the dims split, per
+    matrix of a stack (..., 16, 16), by the exact 8x8 blocks of a family mixture's if any;
+    rho^T_B = (rho^T_A)^T has the same spectrum, so (4, 4) serves both particles."""
+    pt = partial_transpose(require_hermitian(rho), dims)
     return np.sort(block_spectrum(np.linalg.eigvalsh, pt, _PT_BLOCKS), axis=-1)
-
-
-def momentum_label_pt_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the transpose over the first particle's momentum label.
-
-    The 16-dimensional space splits as (momentum of particle 1) (x) (rest),
-    a 2 (x) 8 bipartition; this is the transpose whose closed-form spectrum
-    ``closed_form_momentum_pt`` reproduces.
-    """
-    return np.linalg.eigvalsh(partial_transpose(require_hermitian(rho), (2, 8), "A"))
 
 
 def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,
@@ -55,7 +48,7 @@ def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,
     are pair sums (q_a + q_b) scaled by c_i^2 / S and pair differences
     +/-(q_a - q_b) scaled by c1 c2 / S; nonnegativity of the difference pairs
     is exactly the four weight equalities.  The values match
-    ``momentum_label_pt_spectrum`` of the unit-trace state.  A stack of weights
+    ``ppt_spectrum(rho, dims=(2, 8))`` of the unit-trace state.  A stack of weights
     gives one spectrum per weight vector, with scalar angles or one per vector.
     """
     if weights.parity != "odd":

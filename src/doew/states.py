@@ -135,7 +135,9 @@ class MixtureWeights:
         """Build from a sparse {index: real weight} mapping, 1-based keys, each index once."""
         q = {}
         for key, value in mapping.items():
-            i = int(key)
+            plain = (key.isascii() and key.isdigit() if isinstance(key, str)
+                     else isinstance(key, int) and not isinstance(key, bool))
+            i = int(key) if plain else 0   # int() also reads "+1", " 1", "1_5" and non-ASCII digits
             if not 1 <= i <= 16 or i in q:
                 raise ValueError(f"weight index must be 1..16, each once, got {key!r}")
             if isinstance(value, (bool, str)):   # float() would take True and "0.5"

@@ -88,7 +88,7 @@ def sweep_point(weights, theta1: float, theta2: float) -> dict:
     boosted = effective_boost_mixture_kron(mixture_recipe(weights), theta1, theta2)
     return {
         "witness_value_numeric": kkt_witness(boosted)[0].min_value,
-        "min_ppt_eig": float(ppt_spectrum(boosted, "A")[0]),
+        "min_ppt_eig": float(ppt_spectrum(boosted)[0]),
         "hs_measure": float(hs_distance(EDGE_STATE, boosted)),
     }
 

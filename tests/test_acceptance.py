@@ -13,7 +13,7 @@ from conftest import random_feasible_weights, random_odd_weights
 from doew import (MixtureWeights, b_coefficients, build_mixture, detect,
                   doew_from_edge, edge_state, effective_boost_mixture,
                   effective_boost_pure, entropy_formula, entropy_pure, kappa,
-                  kkt_witness, phi_state, ppt_spectrum,
+                  kkt_witness, partial_transpose, phi_state, ppt_spectrum,
                   reduced_eigenvalue_pair, relativistic_witness_value,
                   separability_floor_check, wigner_half_angle,
                   wigner_rotation_oracle)
@@ -124,8 +124,9 @@ def test_criterion_5_feasible_region_ppt():
         rho = build_mixture(weights)
         for t1, t2 in angle_pairs:
             boosted = effective_boost_mixture(rho, t1, t2)
-            for party in ("A", "B"):
-                worst = min(worst, float(ppt_spectrum(boosted, party).min()))
+            pt_b = partial_transpose(boosted, (4, 4), "B")
+            worst = min(worst, float(ppt_spectrum(boosted).min()),
+                        float(np.linalg.eigvalsh(pt_b).min()))
     elapsed = time.perf_counter() - start
     ok = worst >= -1e-10 and elapsed < 10.0
     report(5, ok, f"min PT eigenvalue {worst:.2e} over 200 weight vectors x "

@@ -157,11 +157,13 @@ def test_stacked_spectra_match_per_matrix(rng):
                      + [random_density(rng, 16)])
     stack = effective_boost_mixture(stack, 0.7, np.linspace(0.0, 2.5, 5))
     values = witness_min_value(stack)
-    spectra_a, spectra_b = ppt_spectrum(stack, "A"), ppt_spectrum(stack, "B")
+    spectra_a = ppt_spectrum(stack)
+    spectra_b = np.linalg.eigvalsh(partial_transpose(stack, (4, 4), "B"))
     for rho, value, spec_a, spec_b in zip(stack, values, spectra_a, spectra_b):
         assert abs(value - kkt_witness(rho)[0].min_value) < 1e-13
-        assert_allclose(spec_a, ppt_spectrum(rho, "A"), atol=1e-14)
-        assert_allclose(spec_b, ppt_spectrum(rho, "B"), atol=1e-14)
+        assert_allclose(spec_a, ppt_spectrum(rho), atol=1e-14)
+        assert_allclose(spec_b, np.linalg.eigvalsh(partial_transpose(rho, (4, 4), "B")),
+                        atol=1e-14)
 
 
 def lapack_shapes(monkeypatch):
@@ -191,13 +193,16 @@ def test_family_stacks_take_the_block_path(rng, monkeypatch, parity):
     stack = effective_boost_mixture(mixtures(q / q.sum(axis=1, keepdims=True)),
                                     np.linspace(-1.0, 3.1, 6), 0.4)
     value, spectrum = dense_spectra(stack)
+    momentum = np.linalg.eigvalsh(partial_transpose(stack[0], (2, 8)))
     shapes = lapack_shapes(monkeypatch)
     assert np.max(np.abs(witness_min_value(stack) - value)) <= 4e-15
     assert np.max(np.abs(ppt_spectrum(stack) - spectrum)) <= 4e-15
     # one matrix also makes one call per spectrum, on its two 8x8 blocks
     assert np.max(np.abs(witness_min_value(stack[0]) - value[0])) <= 4e-15
     assert np.max(np.abs(ppt_spectrum(stack[0]) - spectrum[0])) <= 4e-15
-    assert shapes == [(6, 2, 8, 8), (6, 2, 8, 8), (2, 8, 8), (2, 8, 8)]
+    # and so does the momentum-label transpose, on the same two parity sectors
+    assert np.max(np.abs(ppt_spectrum(stack[0], dims=(2, 8)) - momentum)) <= 4e-15
+    assert shapes == [(6, 2, 8, 8), (6, 2, 8, 8), (2, 8, 8), (2, 8, 8), (2, 8, 8)]
 
 
 @pytest.mark.parametrize("kind", ["float", "complex", "family-with-tiny-off-block-pair"])
@@ -241,6 +246,9 @@ def test_block_index_sets_follow_from_the_family_sparsity(rng):
         # each block is a union of components, and the blocks partition 0..15
         assert all(any(set(c) <= set(row) for row in blocks.tolist()) for c in found)
         assert sorted(blocks.ravel().tolist()) == list(range(16))
+    # the PT blocks are the even and odd bit-parity sectors of the 4-bit index
+    sectors = [[i for i in range(16) if bin(i).count("1") % 2 == p] for p in (0, 1)]
+    assert doew.ppt._PT_BLOCKS.tolist() == sectors
 
 
 @pytest.mark.parametrize("entry", [1e-3, 2e-11])

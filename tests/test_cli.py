@@ -299,7 +299,10 @@ def test_sweep_rejects_non_finite_flags(tmp_path, capsys, command, flag, value):
                                          ("p1", "0,0,0"), ("p2", "inf,0,0"),
                                          ("e", "a,b,c"), ("e", "1,2")])
 def test_boost_rejects_degenerate_vectors(capsys, flag, value):
-    expect_usage_error(capsys, ["boost", "--alpha", "1", f"--{flag}={value}"], f"{value!r}")
+    # the parser reads the vector, so its message names the flag like any other
+    expect_usage_error(capsys, ["boost", "--alpha", "1", f"--{flag}={value}"],
+                       f"argument --{flag}: ")
+    assert f"{value!r}" in run(capsys, "boost", "--alpha", "1", f"--{flag}={value}")[2]
 
 
 def test_boost_normalizes_vectors(capsys):
@@ -416,8 +419,13 @@ def test_memory_error_is_a_computation_error(capsys, monkeypatch):
     ('{"q": {"1": 0.9, "3": 0.6, "1": 0.4}, "parity": "odd"}', "repeated key '1'"),
     ('{"q": {"1": 0.5, "3": 0.5}, "parity": "odd", "parity": "free"}',
      "repeated key 'parity'"),
+    ('{"q": {"1_5": 1.0}}', "'1_5'"),
+    ('{"q": {"+1": 1.0}}', "'+1'"),
+    ('{"q": {" 1": 1.0}}', "' 1'"),
+    ('{"q": {"\\u0661": 1.0}}', "'\u0661'"),
 ], ids=["bool", "string", "repeated-index", "unknown-key", "huge-integer", "repeated-key",
-        "repeated-top-level-key"])
+        "repeated-top-level-key", "underscored-index", "signed-index", "spaced-index",
+        "non-ascii-digit-index"])
 def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, mention):
     # each of these files was once read as some other weights, or crashed
     path = tmp_path / "w.json"
@@ -515,11 +523,12 @@ def test_measure_of_the_edge_state_itself_is_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("witness", "--theta", "0.3"), ("measure", "--theta", "0.3"), ("ppt", "--theta", "0.3"),
-    *[(c, "--seed", "1") for c in ("state", "rho", "boost", "ppt", "measure", "sweep")],
+    *[(c, "--seed", "1") for c in ("state", "rho", "boost", "ppt", "measure", "sweep",
+                                   "witness")],
     *[(c, "--config", "cfg.json") for c in cli.COMMANDS]])
 def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, command, flag, value):
     # witness, measure and ppt print closed forms of the Bell-type angle, only
-    # witness has a seed to use, and values come from flags alone
+    # witness with --floor-samples has a seed to use, and values come from flags alone
     flags = [f"--{k}={v}" for k, v in base_flags(tmp_path, command).items()]
     expect_usage_error(capsys, [command, *flags, flag, value], flag)
 

@@ -5,21 +5,26 @@ from numpy.testing import assert_allclose
 from conftest import random_feasible_weights, random_odd_weights
 from doew import (MixtureWeights, build_mixture, closed_form_momentum_pt,
                   detect, edge_state, edge_weights, effective_boost_mixture,
-                  feasible_region_check, momentum_label_pt_spectrum, phi_state,
-                  ppt_spectrum)
+                  feasible_region_check, partial_transpose, phi_state, ppt_spectrum)
 from doew.cli import fr_companion_weights
 from doew.ppt import feasible_family
 
 
 def test_maximally_mixed_spectrum():
-    spectrum = ppt_spectrum(np.eye(16) / 16, "A")
+    spectrum = ppt_spectrum(np.eye(16) / 16)
     assert_allclose(spectrum, np.full(16, 1 / 16), atol=1e-14)
+
+
+def test_a_party_argument_is_refused():
+    # dims is keyword-only: "B" is not read as a split
+    with pytest.raises(TypeError):
+        ppt_spectrum(np.eye(16) / 16, "B")
 
 
 def test_pure_phi1_min_eigenvalue():
     rho = build_mixture(MixtureWeights.odd({1: 1.0}))
-    for party in ("A", "B"):
-        assert abs(ppt_spectrum(rho, party).min() + 0.25) < 1e-12
+    for spectrum in (ppt_spectrum(rho), np.linalg.eigvalsh(partial_transpose(rho, (4, 4), "B"))):
+        assert abs(spectrum.min() + 0.25) < 1e-12
 
 
 def test_closed_form_matches_momentum_label_spectrum(rng):
@@ -27,7 +32,7 @@ def test_closed_form_matches_momentum_label_spectrum(rng):
         w = random_odd_weights(rng)
         t1, t2 = rng.uniform(0.0, 2.8, 2)
         rho = effective_boost_mixture(build_mixture(w), t1, t2)
-        numeric = momentum_label_pt_spectrum(rho)
+        numeric = ppt_spectrum(rho, dims=(2, 8))
         closed = closed_form_momentum_pt(w, t1, t2)
         assert np.max(np.abs(numeric - closed)) < 1e-10
 
@@ -38,7 +43,7 @@ def test_closed_form_on_a_16_row_stack():
     t1, t2 = np.linspace(0.0, 2.5, 16), np.linspace(2.8, 0.1, 16)
     closed = closed_form_momentum_pt(stack, t1, t2)
     assert closed.shape == (16, 16)
-    numeric = momentum_label_pt_spectrum(effective_boost_mixture(build_mixture(stack), t1, t2))
+    numeric = ppt_spectrum(effective_boost_mixture(build_mixture(stack), t1, t2), dims=(2, 8))
     assert np.max(np.abs(numeric - closed)) < 1e-10
     for n, row in enumerate(stack.q):
         single = closed_form_momentum_pt(MixtureWeights(row, "odd"), t1[n], t2[n])
@@ -53,8 +58,7 @@ def test_closed_form_difference_pair(rng):
     t1, t2 = 0.8, 1.9
     c1, c2 = np.cos(t1 / 2) ** 2, np.cos(t2 / 2) ** 2
     expected = (w.weight(1) - w.weight(7)) * c1 * c2 / (c1 ** 2 + c2 ** 2)
-    spectrum = momentum_label_pt_spectrum(
-        effective_boost_mixture(build_mixture(w), t1, t2))
+    spectrum = ppt_spectrum(effective_boost_mixture(build_mixture(w), t1, t2), dims=(2, 8))
     assert abs(spectrum.min() + expected) < 1e-12
 
 
@@ -85,7 +89,7 @@ def test_feasible_region_rejects_pure_state():
 def test_feasible_region_uniform_odd():
     w = MixtureWeights.odd({i: 1 / 8 for i in range(1, 17, 2)})
     assert feasible_region_check(w).is_ppt
-    assert ppt_spectrum(build_mixture(w), "A").min() > -1e-10
+    assert ppt_spectrum(build_mixture(w)).min() > -1e-10
 
 
 def test_feasible_region_requires_odd_parity():
@@ -98,8 +102,8 @@ def test_constrained_weights_are_ppt(rng):
         w = random_feasible_weights(rng)
         rho = build_mixture(w)
         assert feasible_region_check(w).is_ppt
-        for party in ("A", "B"):
-            assert ppt_spectrum(rho, party).min() > -1e-10
+        assert ppt_spectrum(rho).min() > -1e-10
+        assert np.linalg.eigvalsh(partial_transpose(rho, (4, 4), "B")).min() > -1e-10
 
 
 def test_sign_pattern_boost_independent(rng):
@@ -108,10 +112,10 @@ def test_sign_pattern_boost_independent(rng):
         for _ in range(10):
             w = make(rng)
             rho = build_mixture(w)
-            rest_negative = bool(ppt_spectrum(rho, "A").min() < -1e-10)
+            rest_negative = bool(ppt_spectrum(rho).min() < -1e-10)
             for t1, t2 in ((0.4, 1.1), (2.0, 0.3), (1.5, 2.5)):
                 boosted = effective_boost_mixture(rho, t1, t2)
-                negative = bool(ppt_spectrum(boosted, "A").min() < -1e-10)
+                negative = bool(ppt_spectrum(boosted).min() < -1e-10)
                 assert negative == rest_negative
 
 
@@ -122,7 +126,7 @@ def test_edge_state_contacts_witness():
 
 
 def test_edge_state_pt_touches_zero():
-    spectrum = ppt_spectrum(edge_state(), "A")
+    spectrum = ppt_spectrum(edge_state())
     assert spectrum.min() > -1e-10
     assert spectrum.min() < 1e-10
 

@@ -12,7 +12,10 @@ also within 1e-9 of every tie, and the table must refuse exactly at its ties.
 The Hilbert-Schmidt distance to the edge state that ``doew measure`` prints
 must be the measure of the DOEW construction, also within 1e-12 of the edge.
 The spectra taken over the exact blocks of filtered odd mixtures must match the
-dense ones within 4e-15, also near theta = pi and on the diagonal.
+dense ones within 4e-15, also near theta = pi and on the diagonal.  The one
+partial-transpose spectrum of a split must be that of both particle
+transposes, and the momentum-label one that of its dense transpose, on random
+densities and filtered family mixtures of every parity.
 The separability floor with its skip certificate must be bitwise the floor of
 one ``eigvalsh`` over every partner matrix, and the certificate must never
 pass a matrix whose lowest eigenvalue lies below its shift beyond rounding.
@@ -36,6 +39,7 @@ from doew import witness
 from doew.measures import COINCIDENCE_TOL
 from doew.relativity import AXIS_TOL, LORENTZ_TOL
 from doew.witness import _B_SIGNS, FLOOR_CERT_TOL, TIE_TOL, _above
+from conftest import random_density
 from oracles import separability_floor_two_party
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -210,6 +214,27 @@ def test_block_spectra_match_the_dense_ones(grid):
     dense = 1.0 - np.linalg.svd(correlation_matrix(rho), compute_uv=False).sum(axis=-1)
     assert np.max(np.abs(value - dense)) <= 4e-15
     assert np.max(np.abs(spectrum - np.linalg.eigvalsh(partial_transpose(rho)))) <= 4e-15
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["complex", "odd", "even", "free"]),
+       st.floats(-1.0, 3.0), st.floats(-1.0, 5.5))
+def test_one_spectrum_serves_both_particle_transposes(seed, kind, theta1, theta2):
+    # rho^T_B = (rho^T_A)^T, so the two transposes share their eigenvalues
+    rng = np.random.default_rng(seed)
+    if kind == "complex":
+        rho = random_density(rng, 16)
+    else:   # odd states are the even 0-based columns
+        q = rng.dirichlet(np.ones(16))
+        if kind != "free":
+            q[int(kind == "odd")::2] = 0.0
+        rho = effective_boost_mixture(mixtures(q / q.sum()), theta1, theta2)
+    spectrum = ppt_spectrum(rho)
+    for party in ("A", "B"):
+        dense = np.linalg.eigvalsh(partial_transpose(rho, (4, 4), party))
+        assert np.max(np.abs(spectrum - dense)) <= 1e-14
+    dense = np.linalg.eigvalsh(partial_transpose(rho, (2, 8)))
+    assert np.max(np.abs(ppt_spectrum(rho, dims=(2, 8)) - dense)) <= 1e-14
 
 
 #: ways to spoil one weight row, with the error each must raise

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_odd_weights
-from doew import (MixtureWeights, build_mixture, one_particle_bell, phi_state,
-                  ppt_spectrum, two_particle_bell)
+from doew import (MixtureWeights, build_mixture, one_particle_bell, partial_transpose,
+                  phi_state, ppt_spectrum, two_particle_bell)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -135,5 +135,5 @@ def test_edge_configuration_is_ppt():
     mapping = {1: 0.25, 7: 0.25}
     mapping.update({i: 1 / 12 for i in (3, 5, 9, 11, 13, 15)})
     rho = build_mixture(MixtureWeights.odd(mapping))
-    assert ppt_spectrum(rho, "A").min() > -1e-10
-    assert ppt_spectrum(rho, "B").min() > -1e-10
+    assert ppt_spectrum(rho).min() > -1e-10
+    assert np.linalg.eigvalsh(partial_transpose(rho, (4, 4), "B")).min() > -1e-10
