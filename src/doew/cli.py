@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -77,10 +78,11 @@ def _load_weights(path: str) -> MixtureWeights:
         raise UsageError(f"expected a JSON object in {path!r}")
     for key in sorted(set(data) - {"q", "parity"}):
         raise UsageError(f"unknown key {key!r} in weights file {path!r}")
+    if not isinstance(data.setdefault("q", {}), dict):
+        raise UsageError(f"expected a JSON object under 'q' in {path!r}")
     try:
-        return MixtureWeights.from_mapping(data.get("q", {}),
-                                           parity=data.get("parity", "free"))
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        return MixtureWeights.from_mapping(data["q"], parity=data.get("parity", "free"))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid weights in {path!r}: {exc}") from exc
 
 
@@ -320,12 +322,13 @@ def cmd_sweep(args) -> None:
 
 # ------------------------------------------------------------------- parsing
 
+#: the one grammar of a float flag or vector component: a plain ASCII decimal
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def _finite(text: str) -> float:
-    """The argparse type of every float flag: a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
+    """The argparse type of every float flag: a finite plain ASCII decimal."""
+    value = float(text) if _DECIMAL.fullmatch(text) else np.nan
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
@@ -340,22 +343,18 @@ def _rapidity(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    """The argparse type of a count or seed flag: an integer, not negative."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    """The argparse type of every integer flag: ASCII digits only, the rule that
+    ``MixtureWeights.from_mapping`` applies to weights-file indices."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return value
+    return int(text)
 
 
 def _parse_vec(text: str) -> np.ndarray:
     """The argparse type of a vector flag: the unit vector along comma-separated components."""
-    try:
-        v = np.array([float(part) for part in text.split(",")], dtype=float)
-    except ValueError:
+    if not all(map(_DECIMAL.fullmatch, text.split(","))):
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+    v = np.array([float(part) for part in text.split(",")])
     if v.shape != (3,):
         raise argparse.ArgumentTypeError(f"expected three components, got {text!r}")
     peak = np.max(np.abs(v))
@@ -380,7 +379,7 @@ _COMMON = {"--out": dict(help="write JSON/CSV to this file instead of stdout")}
 #: subcommand -> (handler, help, flags before the common ones)
 COMMANDS = {
     "state": (cmd_state, "print one entangled basis state", {
-        "--phi": dict(type=int, required=True, choices=range(1, 17), metavar="1..16"),
+        "--phi": dict(type=_nonnegative_int, required=True, choices=range(1, 17), metavar="1..16"),
         **_THETA}),
     "rho": (cmd_rho, "build a mixture and report its spectrum", {
         **_WEIGHTS, "--full": dict(action="store_true", help="include the full matrix"),
@@ -405,7 +404,7 @@ COMMANDS = {
         "--parameter": dict(required=True, choices=("theta1", "theta2", "alpha", "q1")),
         "--start": dict(type=_finite, required=True),
         "--stop": dict(type=_finite, required=True),
-        "--steps": dict(type=int, required=True),
+        "--steps": dict(type=_nonnegative_int, required=True),
         "--weights": dict(help="weights JSON (theta/alpha sweeps)"),
         **{flag: {**kwargs, "default": None} for flag, kwargs in _FILTER.items()},
         "--delta1": dict(type=_rapidity, help="particle 1 rapidity for alpha sweeps"),

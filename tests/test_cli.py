@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from doew import cli
 from doew.cli import CSV_COLUMNS, main
@@ -282,7 +284,7 @@ def expect_usage_error(capsys, argv, mention):
 #: every flag of every command that takes a number other than an integer
 FLOAT_FLAGS = [(c, f[2:]) for c, (_, _, flags) in cli.COMMANDS.items()
                for f, kwargs in flags.items()
-               if kwargs.get("type") not in (None, int, cli._nonnegative_int)]
+               if kwargs.get("type") not in (None, cli._nonnegative_int)]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -423,9 +425,11 @@ def test_memory_error_is_a_computation_error(capsys, monkeypatch):
     ('{"q": {"+1": 1.0}}', "'+1'"),
     ('{"q": {" 1": 1.0}}', "' 1'"),
     ('{"q": {"\\u0661": 1.0}}', "'\u0661'"),
+    ('{"q": [0.5, 0.5]}', "expected a JSON object under 'q' in"),
+    ('{"q": "0.5, 0.5"}', "expected a JSON object under 'q' in"),
 ], ids=["bool", "string", "repeated-index", "unknown-key", "huge-integer", "repeated-key",
         "repeated-top-level-key", "underscored-index", "signed-index", "spaced-index",
-        "non-ascii-digit-index"])
+        "non-ascii-digit-index", "q-list", "q-string"])
 def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, mention):
     # each of these files was once read as some other weights, or crashed
     path = tmp_path / "w.json"
@@ -452,12 +456,61 @@ def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, ment
       "--delta2=-2"], "--delta2: must be nonnegative"),
     (["witness", "--weights", "w.json", "--floor-samples", "10", "--seed", "-1"],
      "--seed: must be a nonnegative integer, got '-1'"),
+    # integers are ASCII digits and floats plain ASCII decimals; int() and float()
+    # alone read all of these as numbers
+    (["state", "--phi", "1_0"], "--phi: must be a nonnegative integer, got '1_0'"),
+    (["state", "--phi", "+3"], "--phi: must be a nonnegative integer, got '+3'"),
+    (["state", "--phi", "\u0663"], "--phi: must be a nonnegative integer"),
+    (["sweep", "--parameter", "q1", "--start", "0", "--stop", "0.5", "--steps", " 10"],
+     "--steps: must be a nonnegative integer, got ' 10'"),
+    (["witness", "--weights", "w.json", "--floor-samples", "1_000"],
+     "--floor-samples: must be a nonnegative integer, got '1_000'"),
+    (["witness", "--weights", "w.json", "--floor-samples", "10", "--seed", "\u0663"],
+     "--seed: must be a nonnegative integer"),
+    (["boost", "--alpha", "1_0"], "--alpha: must be a finite number, got '1_0'"),
+    (["boost", "--alpha", "\u0661"], "--alpha: must be a finite number"),
+    (["ppt", "--weights", "w.json", "--theta1", " 0.5"],
+     "--theta1: must be a finite number, got ' 0.5'"),
+    (["sweep", "--parameter", "alpha", "--start", "\uff11", "--stop", "2", "--steps", "3",
+      "--weights", "w.json"], "--start: must be a finite number"),
+    (["boost", "--alpha", "1", "--e", "0,0,1_0"],
+     "--e: expected comma-separated floats, got '0,0,1_0'"),
 ], ids=["missing-flag", "unknown-flag", "bad-choice", "non-integer-seed", "no-command",
         "flag-prefixes", "non-numeric-float", "negative-alpha", "negative-delta1",
         "negative-delta2", "sweep-negative-delta1", "sweep-negative-delta2",
-        "negative-seed"])
+        "negative-seed", "underscored-phi", "signed-phi", "non-ascii-phi", "spaced-steps",
+        "underscored-floor-samples", "non-ascii-seed", "underscored-alpha",
+        "non-ascii-alpha", "spaced-theta1", "fullwidth-start", "underscored-vector"])
 def test_argparse_usage_errors_are_one_line(capsys, argv, mention):
     expect_usage_error(capsys, argv, mention)
+
+
+def float_vector(text):
+    """A vector flag read by float() alone, as before the decimal grammar: the reference."""
+    v = np.array([float(part) for part in text.split(",")])
+    v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
+    return v / np.linalg.norm(v)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FINITE, st.integers(min_value=0), st.lists(FINITE, min_size=3, max_size=3))
+def test_the_grammar_refuses_nothing_the_program_writes(x, n, v):
+    # repr is what the benchmark writes and %.17g what a sweep's CSV holds;
+    # float.hex tells -0.0 from 0.0 and keeps every subnormal bit
+    assert cli._finite(repr(x)).hex() == x.hex()
+    assert cli._finite("%.17g" % x).hex() == x.hex()
+    assert cli._nonnegative_int(str(n)) == n
+    assume(any(v))
+    text = ",".join(map(repr, v))
+    assert cli._parse_vec(text).tobytes() == float_vector(text).tobytes()
+
+
+@pytest.mark.parametrize("text", ["+1.5", ".5e0", "-0.0", "1e+16", "2.", "1E-3", "007"])
+def test_every_plain_decimal_still_parses(text):
+    assert cli._finite(text).hex() == float(text).hex()
 
 
 @pytest.mark.parametrize("extra, mention", [

@@ -2,9 +2,11 @@
 
 perfbench traces ``doew`` from outside the package: it looks up every name of
 ``tracing.TRACED`` in its ``doew.<layer>`` module, binds the arguments of two
-traced calls by name, and times a cold start that calls ``cli.build_parser()``.
-A rename or a new required argument would break the benchmark, not the suite;
-these tests read ``perfbench/`` and change nothing there.
+traced calls by name, times a cold start that calls ``cli.build_parser()`` and
+passes the command lines of ``workloads.py`` to ``cli.main``.  A rename, a new
+required argument or a flag grammar that refuses what the benchmark writes
+would break the benchmark, not the suite; these tests read ``perfbench/`` and
+change nothing there.
 """
 
 import ast
@@ -17,14 +19,18 @@ from pathlib import Path
 
 import pytest
 
+from doew import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  PERFBENCH / "tracing.py")
+def load_perfbench(stem: str):
+    """perfbench/<stem>.py as a module, without putting perfbench/ on the path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}",
+                                                  PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -39,7 +45,7 @@ def run_constant(name: str):
     raise LookupError(f"{name} is not assigned in perfbench/run.py")
 
 
-TRACED = [(layer, name) for layer, names in load_tracing().TRACED.items()
+TRACED = [(layer, name) for layer, names in load_perfbench("tracing").TRACED.items()
           for name in names]
 
 
@@ -65,3 +71,14 @@ def test_cold_start_builds_the_parser_without_arguments():
     done = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("workload", ["sweep_alpha", "sweep_q1", "witness_floor"])
+def test_benchmark_requests_parse(tmp_path, workload):
+    # a request the parser refuses counts against the benchmark's passed_frac,
+    # so no tightening of the flag grammar may refuse what the benchmark writes
+    make = load_perfbench("workloads").WORKLOADS[workload].make
+    parser = cli._shared_parser()
+    for seed in (1, 2, 3):
+        for index in range(50):
+            parser.parse_args(make(seed, index, str(tmp_path)).argv)
