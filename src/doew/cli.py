@@ -69,21 +69,18 @@ def _load_weights(path: str) -> MixtureWeights:
             raise UsageError(f"repeated key {repeated[0]!r} in weights file {path!r}")
         return dict(pairs)
 
-    try:
-        with open(path) as fh:
+    try:   # a check's UsageError is none of the types caught below: it passes unchanged
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=unique_keys)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read JSON file {path!r}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"expected a JSON object in {path!r}")
-    for key in sorted(set(data) - {"q", "parity"}):
-        raise UsageError(f"unknown key {key!r} in weights file {path!r}")
-    if not isinstance(data.setdefault("q", {}), dict):
-        raise UsageError(f"expected a JSON object under 'q' in {path!r}")
-    try:
+        if not isinstance(data, dict):
+            raise UsageError(f"expected a JSON object in {path!r}")
+        for key in sorted(set(data) - {"q", "parity"}):
+            raise UsageError(f"unknown key {key!r} in weights file {path!r}")
+        if not isinstance(data.setdefault("q", {}), dict):
+            raise UsageError(f"expected a JSON object under 'q' in {path!r}")
         return MixtureWeights.from_mapping(data["q"], parity=data.get("parity", "free"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"invalid weights in {path!r}: {exc}") from exc
+    except (OSError, RecursionError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"invalid weights file {path!r}: {exc}") from exc
 
 
 def _write(text: str, out: str | None) -> None:
@@ -343,9 +340,10 @@ def _rapidity(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    """The argparse type of every integer flag: ASCII digits only, the rule that
-    ``MixtureWeights.from_mapping`` applies to weights-file indices."""
-    if not (text.isascii() and text.isdigit()):
+    """The argparse type of every integer flag: ASCII digits only, the weights-index rule of
+    ``MixtureWeights.from_mapping``, and no more than int() converts (a limit of 0 is none)."""
+    if not (text.isascii() and text.isdigit()) or (
+            0 < getattr(sys, "get_int_max_str_digits", int)() < len(text)):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
 
@@ -451,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, MemoryError, np.linalg.LinAlgError) as exc:
+    except (ValueError, MemoryError) as exc:   # np.linalg.LinAlgError is a ValueError
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -36,6 +36,8 @@ def ppt_spectrum(rho: np.ndarray, *, dims: tuple[int, int] = (4, 4)) -> np.ndarr
     """Ascending eigenvalues of the transpose over the first factor of the dims split, per
     matrix of a stack (..., 16, 16), by the exact 8x8 blocks of a family mixture's if any;
     rho^T_B = (rho^T_A)^T has the same spectrum, so (4, 4) serves both particles."""
+    if np.shape(rho)[-2:] != (16, 16):
+        raise ValueError(f"expected a 16x16 operator, got shape {np.shape(rho)}")
     pt = partial_transpose(require_hermitian(rho), dims)
     return np.sort(block_spectrum(np.linalg.eigvalsh, pt, _PT_BLOCKS), axis=-1)
 

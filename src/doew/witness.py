@@ -65,10 +65,8 @@ _QF = operator_basis().reshape(16, 16)
 _QF_REAL = _QF.real + _QF.imag
 _QF_PHASE = np.where(_QF.imag.any(axis=1), 1j, 1.0)
 _DD = np.outer(_QF_PHASE, _QF_PHASE)   # d d^t: entrywise 1, i or -1
-# rows 2k, 2k + 1 of _QFT_RI are Re, -Im of QF^t[k]: X seen as floats times it is Re(X QF^t);
-# the columns of _QF_RI interleave Re and Im of QF: v _QF_RI has v QF's complex layout
+# rows 2k, 2k + 1 of _QFT_RI are Re, -Im of QF^t[k]: X seen as floats times it is Re(X QF^t)
 _QFT_RI = np.stack([_QF.T.real, -_QF.T.imag], axis=1).reshape(32, 16)
-_QF_RI = np.stack([_QF.real, _QF.imag], axis=-1).reshape(16, 32)
 _RT_BLOCKS = np.array([(0, 1, 4, 5, 6, 8, 9, 11), (2, 3, 7, 10, 12, 13, 14, 15)])
 
 
@@ -234,7 +232,7 @@ def _expectations(states: np.ndarray) -> np.ndarray:
 
 def _partner_matrices(v: np.ndarray) -> np.ndarray:
     """sum_q v_q Q_q for each row of a real (n, 16) stack, shape (n, 4, 4)."""
-    return (v @ _QF_RI).view(complex).reshape(-1, 4, 4)
+    return (v @ _QF.view(float)).view(complex).reshape(-1, 4, 4)
 
 
 def _above(m: np.ndarray, x: float) -> np.ndarray:

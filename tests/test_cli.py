@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -427,14 +431,41 @@ def test_memory_error_is_a_computation_error(capsys, monkeypatch):
     ('{"q": {"\\u0661": 1.0}}', "'\u0661'"),
     ('{"q": [0.5, 0.5]}', "expected a JSON object under 'q' in"),
     ('{"q": "0.5, 0.5"}', "expected a JSON object under 'q' in"),
+    # json.load raises these past its own JSONDecodeError
+    (b"\xff\xfe{}", "invalid weights file"),
+    ("[" * 100_000 + "]" * 100_000, "invalid weights file"),
+    ('{"q": {"1": 1%s}}' % ("0" * 4999), "invalid weights file"),
 ], ids=["bool", "string", "repeated-index", "unknown-key", "huge-integer", "repeated-key",
         "repeated-top-level-key", "underscored-index", "signed-index", "spaced-index",
-        "non-ascii-digit-index", "q-list", "q-string"])
+        "non-ascii-digit-index", "q-list", "q-string", "not-utf-8", "deeply-nested",
+        "5000-digit-integer"])
 def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, mention):
     # each of these files was once read as some other weights, or crashed
     path = tmp_path / "w.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     expect_usage_error(capsys, ["ppt", "--weights", str(path)], mention)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(), st.text()))
+def test_any_weights_file_exits_0_or_2_without_a_traceback(content):
+    # tempfile and redirect, not the function-scoped tmp_path and capsys, which
+    # would be shared by every example
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "w.json")
+        with open(path, "wb") as fh:
+            fh.write(content if isinstance(content, bytes) else content.encode())
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["rho", "--weights", path])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, mention", [
@@ -475,12 +506,16 @@ def test_weights_file_is_refused_unless_well_formed(tmp_path, capsys, text, ment
       "--weights", "w.json"], "--start: must be a finite number"),
     (["boost", "--alpha", "1", "--e", "0,0,1_0"],
      "--e: expected comma-separated floats, got '0,0,1_0'"),
+    # longer than int()'s digit limit: refused by the grammar, not by int()
+    (["witness", "--weights", "w.json", "--floor-samples", "1" + "0" * 5000],
+     "--floor-samples: must be a nonnegative integer"),
 ], ids=["missing-flag", "unknown-flag", "bad-choice", "non-integer-seed", "no-command",
         "flag-prefixes", "non-numeric-float", "negative-alpha", "negative-delta1",
         "negative-delta2", "sweep-negative-delta1", "sweep-negative-delta2",
         "negative-seed", "underscored-phi", "signed-phi", "non-ascii-phi", "spaced-steps",
         "underscored-floor-samples", "non-ascii-seed", "underscored-alpha",
-        "non-ascii-alpha", "spaced-theta1", "fullwidth-start", "underscored-vector"])
+        "non-ascii-alpha", "spaced-theta1", "fullwidth-start", "underscored-vector",
+        "5001-digit-floor-samples"])
 def test_argparse_usage_errors_are_one_line(capsys, argv, mention):
     expect_usage_error(capsys, argv, mention)
 

@@ -21,6 +21,13 @@ def test_a_party_argument_is_refused():
         ppt_spectrum(np.eye(16) / 16, "B")
 
 
+@pytest.mark.parametrize("dim, dims", [(9, (3, 3)), (4, (2, 2))], ids=["9x9", "4x4"])
+def test_an_operator_other_than_16x16_is_refused(dim, dims):
+    # the bit-parity blocks index 16 rows; a smaller operator must not reach them
+    with pytest.raises(ValueError, match="16x16"):
+        ppt_spectrum(np.eye(dim) / dim, dims=dims)
+
+
 def test_pure_phi1_min_eigenvalue():
     rho = build_mixture(MixtureWeights.odd({1: 1.0}))
     for spectrum in (ppt_spectrum(rho), np.linalg.eigvalsh(partial_transpose(rho, (4, 4), "B"))):
