@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import block_spectrum, partial_transpose, require_hermitian
+from .linalg import basis_spectrum, pair_rotation, partial_transpose, require_hermitian
 from .relativity import sector_weights
 from .states import MixtureWeights, build_mixture
 
@@ -27,19 +27,20 @@ EQUALITY_PAIRS = ((1, 7), (3, 5), (9, 13), (11, 15))
 HALF_SUM_INDICES = (1, 3, 11, 9)
 
 _PAIR_FIRST, _PAIR_SECOND = np.array(EQUALITY_PAIRS).T - 1   # 0-based members
-# the even and odd bit-parity sectors of the 4-bit two-particle index: a family mixture
-# conserves that parity, and a transpose over any index bits keeps it so, for every split
-_PT_BLOCKS = np.array([(0, 3, 5, 6, 9, 10, 12, 15), (1, 2, 4, 7, 8, 11, 13, 14)])
+# a filtered odd mixture's transpose, for either split: (e_i +/- e_j)/sqrt(2) on four pairs,
+# (1, s1, s2, s1 s2)/2 on (2, 7, 8, 13) and (3, 6, 9, 12) as two rounds of pairs
+_PT_BASIS = (pair_rotation(((0, 5), (1, 4), (10, 15), (11, 14), (2, 7), (8, 13), (3, 6), (9, 12)))
+             @ pair_rotation(((2, 8), (7, 13), (3, 9), (6, 12))))
 
 
 def ppt_spectrum(rho: np.ndarray, *, dims: tuple[int, int] = (4, 4)) -> np.ndarray:
     """Ascending eigenvalues of the transpose over the first factor of the dims split, per
-    matrix of a stack (..., 16, 16), by the exact 8x8 blocks of a family mixture's if any;
-    rho^T_B = (rho^T_A)^T has the same spectrum, so (4, 4) serves both particles."""
+    matrix of a stack (..., 16, 16), as diag(U^t pt U) where its Weyl bound certifies that, else
+    by ``eigvalsh``; rho^T_B = (rho^T_A)^T has the same spectrum, so (4, 4) serves both."""
     if np.shape(rho)[-2:] != (16, 16):
         raise ValueError(f"expected a 16x16 operator, got shape {np.shape(rho)}")
     pt = partial_transpose(require_hermitian(rho), dims)
-    return np.sort(block_spectrum(np.linalg.eigvalsh, pt, _PT_BLOCKS), axis=-1)
+    return np.sort(basis_spectrum(np.linalg.eigvalsh, pt, _PT_BASIS), axis=-1)
 
 
 def closed_form_momentum_pt(weights: MixtureWeights, theta1: float = 0.0,

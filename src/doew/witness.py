@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_TOL, block_spectrum
+from .linalg import HERMITIAN_TOL, basis_spectrum, pair_rotation
 from .states import MixtureWeights
 
 RANK_TOL = 1e-10
@@ -67,7 +67,8 @@ _QF_PHASE = np.where(_QF.imag.any(axis=1), 1j, 1.0)
 _DD = np.outer(_QF_PHASE, _QF_PHASE)   # d d^t: entrywise 1, i or -1
 # rows 2k, 2k + 1 of _QFT_RI are Re, -Im of QF^t[k]: X seen as floats times it is Re(X QF^t)
 _QFT_RI = np.stack([_QF.T.real, -_QF.T.imag], axis=1).reshape(32, 16)
-_RT_BLOCKS = np.array([(0, 1, 4, 5, 6, 8, 9, 11), (2, 3, 7, 10, 12, 13, 14, 15)])
+# a filtered odd mixture's rho_tilde is diagonal on coefficient_table's pairs
+_RT_BASIS = pair_rotation(((12, 13), (14, 15), (1, 4), (8, 9), (2, 3), (7, 10)))
 
 
 def _realign(m: np.ndarray, axes: tuple[int, int, int, int]) -> np.ndarray:
@@ -137,9 +138,10 @@ def kkt_witness(rho: np.ndarray) -> tuple[WitnessCoefficients, np.ndarray]:
 
 def witness_min_value(rho: np.ndarray) -> np.ndarray:
     """min Tr(W rho) = 1 - Tr sqrt(rho_tilde^t rho_tilde) of the optimal witness, per matrix
-    of a stack: ``kkt_witness``'s min_value, from SVDs of a family rho_tilde's exact blocks."""
-    return 1.0 - block_spectrum(lambda m: np.linalg.svd(m, compute_uv=False),
-                                correlation_matrix(rho), _RT_BLOCKS).sum(axis=-1)
+    of a stack: ``kkt_witness``'s min_value, as 1 - sum |diag(V^t rho_tilde V)| where 16 times
+    the off-diagonal's norm certifies it (Weyl, per singular value), else by a dense SVD."""
+    return 1.0 - np.abs(basis_spectrum(lambda m: np.linalg.svd(m, compute_uv=False),
+                                       correlation_matrix(rho), _RT_BASIS, 16.0)).sum(axis=-1)
 
 
 _B_SIGNS = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1],

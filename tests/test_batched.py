@@ -4,10 +4,12 @@ The family table, the realigned correlation matrix and witness operator, the
 elementwise filter and the stacked spectra must reproduce the direct
 constructions in ``oracles``; the block-wise ``doew sweep`` must reproduce a
 point-by-point composition of ``kkt_witness``, ``ppt_spectrum`` and
-``hs_distance``, including across block edges.  Family mixtures, of any
-parity, must send their exact diagonal blocks to LAPACK and agree with the
-dense spectra, other states must take the dense path, the block index sets
-must follow from the family's sparsity, and real input must stay real.
+``hs_distance``, including across block edges.  Filtered odd mixtures must
+read both spectra off two constant bases, with no LAPACK call, and agree with
+the dense spectra; the bases must be orthogonal and diagonalize every such
+mixture, for both splits.  Even and free mixtures, random densities, odd
+mixtures perturbed off the bases' commutant and NaN entries must take the
+dense path and give its result bit for bit, and real input must stay real.
 """
 
 import csv
@@ -185,8 +187,8 @@ def dense_spectra(stack):
 
 @pytest.mark.parametrize("parity", ["odd", "even", "free"])
 def test_family_stacks_take_the_block_path(rng, monkeypatch, parity):
-    # the blocks come from the sparsity of the family table, which every
-    # mixture of the family shares, whatever its parity
+    # filtered odd mixtures are diagonal in the two constant bases, so a stack, one matrix
+    # and the momentum-label split make no LAPACK call; even and free ones are not
     q = random_weight_stack(rng, 6)
     if parity != "free":   # odd states are the even 0-based columns
         q[:, int(parity == "odd")::2] = 0.0
@@ -197,12 +199,66 @@ def test_family_stacks_take_the_block_path(rng, monkeypatch, parity):
     shapes = lapack_shapes(monkeypatch)
     assert np.max(np.abs(witness_min_value(stack) - value)) <= 4e-15
     assert np.max(np.abs(ppt_spectrum(stack) - spectrum)) <= 4e-15
-    # one matrix also makes one call per spectrum, on its two 8x8 blocks
     assert np.max(np.abs(witness_min_value(stack[0]) - value[0])) <= 4e-15
     assert np.max(np.abs(ppt_spectrum(stack[0]) - spectrum[0])) <= 4e-15
-    # and so does the momentum-label transpose, on the same two parity sectors
     assert np.max(np.abs(ppt_spectrum(stack[0], dims=(2, 8)) - momentum)) <= 4e-15
-    assert shapes == [(6, 2, 8, 8), (6, 2, 8, 8), (2, 8, 8), (2, 8, 8), (2, 8, 8)]
+    dense = [(6, 16, 16), (6, 16, 16), (16, 16), (16, 16), (16, 16)]
+    assert shapes == ([] if parity == "odd" else dense)
+
+
+def odd_stack(rng, n, theta1=0.4):
+    """n filtered odd mixtures with Dirichlet(0.5) weights, some nearly zero."""
+    q = np.zeros((n, 16))
+    q[:, 0::2] = rng.dirichlet(np.full(8, 0.5), size=n)
+    return effective_boost_mixture(mixtures(q), theta1, np.linspace(-1.0, 3.1, n))
+
+
+@pytest.mark.parametrize("kind", ["odd-and-one-free", "even"])
+def test_stacks_off_the_odd_family_take_the_dense_path_bitwise(rng, monkeypatch, kind):
+    # one matrix outside the bases' commutant sends the whole stack to LAPACK
+    stack = odd_stack(rng, 5)
+    q = random_weight_stack(rng, 5)
+    if kind == "even":
+        q[:, 0::2] = 0.0
+        stack = effective_boost_mixture(mixtures(q / q.sum(axis=1, keepdims=True)), 0.4, 2.0)
+    else:
+        stack[3] = effective_boost_mixture(mixtures(q[3]), 0.4, 2.0)
+    value, spectrum = dense_spectra(stack)
+    momentum = np.linalg.eigvalsh(partial_transpose(stack, (2, 8)))
+    shapes = lapack_shapes(monkeypatch)
+    assert np.array_equal(witness_min_value(stack), value)
+    assert np.array_equal(ppt_spectrum(stack), spectrum)
+    assert np.array_equal(ppt_spectrum(stack, dims=(2, 8)), momentum)
+    assert shapes == [(5, 16, 16)] * 3
+
+
+@pytest.mark.parametrize("size", [1e-12, 1e-9, 1e-6])
+def test_an_odd_mixture_off_the_commutant_takes_the_dense_path_bitwise(rng, monkeypatch, size):
+    # a symmetric perturbation keeps rho Hermitian but leaves an off-diagonal norm of
+    # about 10 size in both bases, far above SPECTRUM_CERT_TOL
+    g = rng.normal(size=(16, 16))
+    rho = odd_stack(rng, 1)[0] + size * (g + g.T) / 2
+    value, spectrum = dense_spectra(rho)
+    momentum = np.linalg.eigvalsh(partial_transpose(rho, (2, 8)))
+    shapes = lapack_shapes(monkeypatch)
+    assert np.array_equal(witness_min_value(rho), value)
+    assert np.array_equal(ppt_spectrum(rho), spectrum)
+    assert np.array_equal(ppt_spectrum(rho, dims=(2, 8)), momentum)
+    assert shapes == [(16, 16)] * 3
+
+
+@pytest.mark.parametrize("entry", [(3, 3), (0, 5), (2, 13)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_nan_entry_raises_linalg_error(rng, entry, stacked):
+    # NaN fails the certificate's comparison, and LAPACK refuses it
+    stack = odd_stack(rng, 4)
+    stack[1][entry] = stack[1][entry[::-1]] = np.nan
+    rho = stack if stacked else stack[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        witness_min_value(rho)
+    for dims in ((4, 4), (2, 8)):
+        with pytest.raises(np.linalg.LinAlgError):
+            ppt_spectrum(rho, dims=dims)
 
 
 @pytest.mark.parametrize("kind", ["float", "complex", "family-with-tiny-off-block-pair"])
@@ -225,30 +281,23 @@ def test_random_density_stacks_take_the_dense_path(rng, monkeypatch, kind):
     assert shapes == [(4, 16, 16), (4, 16, 16)]
 
 
-def components(m):
-    """Index sets of the connected components of the nonzero pattern of m."""
-    reach = ((m != 0) | (m != 0).T | np.eye(len(m), dtype=bool)).astype(int)
-    for _ in range(4):   # paths of up to 2**4 = 16 steps
-        reach = (reach @ reach > 0).astype(int)
-    return {tuple(np.flatnonzero(row)) for row in reach}
+#: the index groups on which V (for rho_tilde: coefficient_table's) and U (for the
+#: transposes) hold (e_i +/- e_j)/sqrt(2), (1, s1, s2, s1 s2)/2 or e_k
+V_GROUPS = {(12, 13), (14, 15), (1, 4), (8, 9), (2, 3), (7, 10), (0,), (5,), (6,), (11,)}
+U_GROUPS = {(0, 5), (1, 4), (10, 15), (11, 14), (2, 7, 8, 13), (3, 6, 9, 12)}
 
 
-#: the connected components of rho_tilde, then of the partial transpose, of a family mixture
-RT_COMPONENTS = {(0, 1, 4, 5), (2, 3, 12, 13, 14, 15), (6, 8, 9, 11), (7, 10)}
-PT_COMPONENTS = {(0, 3, 5, 6, 9, 10, 12, 15), (1, 2, 4, 7, 8, 11, 13, 14)}
-
-
-def test_block_index_sets_follow_from_the_family_sparsity(rng):
-    rho = effective_boost_mixture(build_mixture(random_odd_weights(rng)), 0.4, 2.1)
-    for m, found, blocks in ((correlation_matrix(rho), RT_COMPONENTS, doew.witness._RT_BLOCKS),
-                             (partial_transpose(rho), PT_COMPONENTS, doew.ppt._PT_BLOCKS)):
-        assert components(m) == found
-        # each block is a union of components, and the blocks partition 0..15
-        assert all(any(set(c) <= set(row) for row in blocks.tolist()) for c in found)
-        assert sorted(blocks.ravel().tolist()) == list(range(16))
-    # the PT blocks are the even and odd bit-parity sectors of the 4-bit index
-    sectors = [[i for i in range(16) if bin(i).count("1") % 2 == p] for p in (0, 1)]
-    assert doew.ppt._PT_BLOCKS.tolist() == sectors
+def test_constant_bases_diagonalize_filtered_odd_mixtures(rng):
+    v, u = doew.witness._RT_BASIS, doew.ppt._PT_BASIS
+    for basis, groups in ((v, V_GROUPS), (u, U_GROUPS)):
+        assert np.max(np.abs(basis.T @ basis - np.eye(16))) <= 1e-15
+        assert {tuple(np.flatnonzero(column)) for column in basis.T} == groups
+        support = basis != 0
+        assert np.max(np.abs(np.abs(basis) - support / np.sqrt(support.sum(axis=0)))) <= 1e-15
+    rho = odd_stack(rng, 200, theta1=rng.uniform(-1.0, 3.1, 200))
+    for basis, m in ((v, correlation_matrix(rho)), (u, partial_transpose(rho)),
+                     (u, partial_transpose(rho, (4, 4), "B")), (u, partial_transpose(rho, (2, 8)))):
+        assert np.max(np.abs((basis.T @ m @ basis) * (1.0 - np.eye(16)))) <= 1e-15
 
 
 @pytest.mark.parametrize("entry", [1e-3, 2e-11])

@@ -11,8 +11,11 @@ closed-form witness value and coefficient table must match the SVD witness,
 also within 1e-9 of every tie, and the table must refuse exactly at its ties.
 The Hilbert-Schmidt distance to the edge state that ``doew measure`` prints
 must be the measure of the DOEW construction, also within 1e-12 of the edge.
-The spectra taken over the exact blocks of filtered odd mixtures must match the
-dense ones within 4e-15, also near theta = pi and on the diagonal.  The one
+The spectra of filtered odd mixtures, read off two constant bases with no
+LAPACK call, must match the dense ones within 4e-15, also near theta = pi and
+on the diagonal; near ties, at zero weights and a little off the bases'
+commutant, each certified result must lie within its Weyl bound of LAPACK's,
+and each uncertified one must be LAPACK's bit for bit.  The one
 partial-transpose spectrum of a split must be that of both particle
 transposes, and the momentum-label one that of its dense transpose, on random
 densities and filtered family mixtures of every parity.
@@ -35,7 +38,8 @@ from doew import (MixtureWeights, TieError, b_coefficients, build_mixture,
                   kkt_witness, mixtures, partial_transpose, ppt_spectrum,
                   relativistic_witness_value, separability_floor_check,
                   wigner_half_angle, wigner_rotation_oracle, witness_min_value)
-from doew import witness
+from doew import ppt, witness
+from doew.linalg import SPECTRUM_CERT_TOL
 from doew.measures import COINCIDENCE_TOL
 from doew.relativity import AXIS_TOL, LORENTZ_TOL
 from doew.witness import _B_SIGNS, FLOOR_CERT_TOL, TIE_TOL, _above
@@ -208,12 +212,60 @@ def test_block_spectra_match_the_dense_ones(grid):
     with (mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
           mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh):
         value, spectrum = witness_min_value(rho), ppt_spectrum(rho)
-    # one call each, on the two 8x8 blocks of every matrix
-    assert [c.args[0].shape for c in svd.call_args_list] == [rho.shape[:-2] + (2, 8, 8)]
-    assert [c.args[0].shape for c in eigvalsh.call_args_list] == [rho.shape[:-2] + (2, 8, 8)]
+        momentum = ppt_spectrum(rho, dims=(2, 8))
+    # every spectrum is a diagonal in a constant basis: no LAPACK call
+    assert svd.call_count == eigvalsh.call_count == 0
     dense = 1.0 - np.linalg.svd(correlation_matrix(rho), compute_uv=False).sum(axis=-1)
     assert np.max(np.abs(value - dense)) <= 4e-15
     assert np.max(np.abs(spectrum - np.linalg.eigvalsh(partial_transpose(rho)))) <= 4e-15
+    assert np.max(np.abs(momentum - np.linalg.eigvalsh(partial_transpose(rho, (2, 8))))) <= 4e-15
+
+
+@st.composite
+def near_odd_mixtures(draw):
+    """A filtered odd mixture whose weights may tie within 1e-9 in pairs or vanish, at
+    angles that may near pi, perturbed symmetrically by 0 or 1e-17 to 1e-12."""
+    odd = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4)):
+        odd[b] = odd[a] + draw(st.floats(-1e-9, 1e-9))   # a tie, or nearly one
+    odd = np.where(draw(st.lists(st.booleans(), min_size=8, max_size=8)), 0.0, odd.clip(0.0))
+    if odd.sum() == 0.0:
+        odd[0] = 1.0
+    q = np.zeros(16)
+    q[0::2] = odd / odd.sum()
+    rho = effective_boost_mixture(mixtures(q), draw(ANGLE), draw(ANGLE))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(size=(16, 16))
+    size = draw(st.one_of(st.just(0.0), st.floats(-17.0, -12.0).map(lambda x: 10.0 ** x)))
+    return rho + size * (g + g.T) / 2
+
+
+def weyl_bound(m, basis):
+    """||off-diagonal of basis^t m basis||_F: how far each eigenvalue or singular value of m
+    can lie from the rotated diagonal's (Weyl)."""
+    rotated = basis.T @ m @ basis
+    return float(np.linalg.norm(rotated - np.diag(np.diag(rotated))))
+
+
+@SETTINGS
+@given(near_odd_mixtures())
+def test_certified_spectra_lie_within_their_weyl_bounds(rho):
+    rt = correlation_matrix(rho)
+    dense_value = 1.0 - np.linalg.svd(rt, compute_uv=False).sum()
+    checks = [(lambda: witness_min_value(rho), "svd", dense_value,
+               16 * weyl_bound(rt, witness._RT_BASIS))]
+    for dims in ((4, 4), (2, 8)):
+        pt = partial_transpose(rho, dims)
+        checks.append((lambda dims=dims: ppt_spectrum(rho, dims=dims), "eigvalsh",
+                       np.linalg.eigvalsh(pt), weyl_bound(pt, ppt._PT_BASIS)))
+    for run, lapack, dense, bound in checks:
+        with mock.patch.object(np.linalg, lapack, wraps=getattr(np.linalg, lapack)) as call:
+            got = run()
+        if call.call_count:   # uncertified: LAPACK's result, bit for bit
+            assert np.array_equal(got, dense)
+        else:   # certified: within the bound, and the bound within SPECTRUM_CERT_TOL,
+            # up to the 4e-15 of rounding the dense comparisons hold
+            assert bound <= SPECTRUM_CERT_TOL + 4e-15
+            assert np.max(np.abs(got - dense)) <= bound + 4e-15
 
 
 @SETTINGS
